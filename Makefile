@@ -1,4 +1,4 @@
-.PHONY: install test test-backends chaos docs-check kernels-check fleet-check serve-smoke bench bench-search bench-throughput bench-stacked bench-stream bench-native bench-fleet bench-serve obs-overhead telemetry-smoke trace-demo report examples paper clean
+.PHONY: install test test-backends chaos docs-check kernels-check fleet-check serve-smoke bench bench-search bench-stacked bench-stream bench-native bench-serve obs-overhead telemetry-smoke trace-demo report examples paper clean
 
 install:
 	pip install -e .[dev]
@@ -30,7 +30,8 @@ kernels-check:
 	pytest tests/native/ -p no:cacheprovider
 	python -m repro.native.selfcheck
 
-# Fleet gate (tier-1): scheduler/supervisor/store suites, the bitwise
+# Fleet gate (tier-1): executor (per-layout FIFOs, crash protocol,
+# serving lifecycle), supervisor and store suites, the bitwise
 # fleet-vs-serial property test, and a 2-worker fast-preset smoke.
 fleet-check:
 	pytest tests/fleet/ tests/property/test_fleet_properties.py -p no:cacheprovider
@@ -49,12 +50,7 @@ bench:
 bench-search:
 	pytest benchmarks/test_engine_speedup.py::test_engine_speedup_report -p no:cacheprovider
 
-# Serial vs. sharded batch localization throughput (1/2/4 workers,
-# shm vs pickle transport); writes BENCH_throughput.json at the repo root.
-bench-throughput:
-	pytest benchmarks/test_batch_throughput.py::test_batch_throughput_report -p no:cacheprovider
-
-# Serial vs. case-stacked vectorized batch kernel (mode=vectorized/auto);
+# Serial vs. case-stacked vectorized batch kernel (RAPMiner.run_batch);
 # writes BENCH_stacked.json at the repo root and enforces the >=2x floor.
 bench-stacked:
 	pytest benchmarks/test_stacked_throughput.py::test_stacked_throughput_report -p no:cacheprovider
@@ -70,15 +66,6 @@ bench-stream:
 # bit-identical candidates asserted end to end.
 bench-native:
 	pytest benchmarks/test_native_kernels.py::test_native_kernels_report -p no:cacheprovider
-
-# Static sharding vs work stealing on a Zipf-skewed tenant mix; writes
-# BENCH_fleet.json at the repo root.  The >=1.3x steal gate is enforced
-# through the virtual-clock makespan everywhere and through wall clock
-# only on >=4-CPU hosts (cpu_count is recorded; 1-CPU hosts report the
-# wall numbers honestly without gating on them), with steal-count > 0
-# and bit-identical candidates asserted in every configuration.
-bench-fleet:
-	pytest benchmarks/test_fleet_throughput.py::test_fleet_throughput_report -p no:cacheprovider
 
 # Sustained serving throughput over a live wire (1 and 4 client threads)
 # plus the overload shed profile; writes BENCH_serve.json at the repo

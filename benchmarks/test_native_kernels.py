@@ -6,9 +6,9 @@ Two measurements, one artifact (``BENCH_native.json``):
   ``REPLAY`` times (the same stream-of-snapshots model as
   ``test_stacked_throughput.py``) through three configurations: serial
   ``run_cases`` on the numpy backend, the in-process vectorized kernel
-  (``mode="vectorized"``) on the numpy backend, and the same vectorized
-  kernel on the native C backend.  Every configuration's ranked output
-  is asserted bit-identical to serial.
+  (one ``RAPMiner.run_batch`` call) on the numpy backend, and the same
+  vectorized kernel on the native C backend.  Every configuration's
+  ranked output is asserted bit-identical to serial.
 * **Kernel-trio micro-timings** — the three hot kernels the native
   backend exists for (fused full-lattice aggregation, case-stacked
   anomalous counts, case-stacked weighted lanes), timed on *realistic*
@@ -19,6 +19,16 @@ Two measurements, one artifact (``BENCH_native.json``):
   end-to-end walls additionally carry Python search control flow that
   no kernel backend can remove, so they are reported, not gated.
 
+The trio is timed in a fresh child process with glibc's malloc
+thresholds pinned (:data:`NEUTRAL_MALLOC`).  Each kernel returns
+megabyte-sized outputs; with glibc's default, adaptive thresholds,
+whether a fresh output is mapped from the OS (a page fault per 4 KiB
+page on first touch) or recycled from the heap depends on everything
+the process allocated before, and at this scale those faults cost more
+than the kernels themselves.  Pinned thresholds recycle freed outputs
+for both backends, so the ratio compares kernel work only.  Bit-identity
+of the two backends is asserted in the benchmark process.
+
 The native library's identity (compiler, version, cache path) is
 recorded in the artifact via :func:`repro.native.backend_info`.
 """
@@ -28,6 +38,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -36,11 +48,11 @@ import pytest
 
 from repro import RAPMiner
 from repro.core.config import RAPMinerConfig
+from repro.experiments.presets import fast_preset
 from repro.experiments.runner import run_cases
 from repro.native import NumpyBackend, backend_info, resolve_backend
-from repro.parallel import BatchConfig, batch_localize
 
-from test_batch_throughput import _assert_identical, _replayed_stream
+from test_stacked_throughput import _assert_identical, _replayed_stream, _run_batch
 
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_native.json"
 #: Stream length: fast-preset case list replayed this many times.
@@ -53,6 +65,14 @@ MICRO_REPEATS = 20
 K = 5
 #: Acceptance floor: native kernel trio vs the vectorized numpy kernels.
 TARGET_SPEEDUP = 2.0
+#: Environment of the trio-timing child: a fixed mmap threshold (glibc's
+#: maximum, 32 MiB, which also turns off its adaptive raising) and a
+#: trim threshold high enough that freed outputs stay on the heap.
+#: Other C libraries ignore these variables.
+NEUTRAL_MALLOC = {
+    "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+    "MALLOC_TRIM_THRESHOLD_": str(1 << 30),
+}
 
 
 def _timed(run, cases, repeats=REPEATS):
@@ -137,6 +157,40 @@ def _trio_workload(datasets):
     }
 
 
+def _trio_timings():
+    """Min-of-repeats seconds of each trio kernel on both backends.
+
+    Runs in the child process started by :func:`_trio_in_fresh_process`;
+    the inputs are rebuilt from the same preset as the ``rapmd_cases``
+    fixture.
+    """
+    native = resolve_backend("native", strict=True)
+    reference = NumpyBackend()
+    cases = fast_preset(seed=1).rapmd_cases()
+    datasets = [case.dataset for case in _replayed_stream(cases, REPLAY)]
+    timings = {}
+    for kernel, args in _trio_workload(datasets).items():
+        timings[kernel] = {
+            "numpy_s": _micro(lambda: getattr(reference, kernel)(*args)),
+            "native_s": _micro(lambda: getattr(native, kernel)(*args)),
+        }
+    return timings
+
+
+def _trio_in_fresh_process():
+    """:func:`_trio_timings` in a child with :data:`NEUTRAL_MALLOC` set."""
+    env = dict(os.environ, **NEUTRAL_MALLOC)
+    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+    child = subprocess.run(
+        [sys.executable, __file__],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def test_native_kernels_report(rapmd_cases, capsys):
     try:
         native = resolve_backend("native", strict=True)
@@ -152,21 +206,11 @@ def test_native_kernels_report(rapmd_cases, capsys):
         rapmd_cases,
     )
     vectorized_s, vectorized_eval = _timed(
-        lambda stream: batch_localize(
-            RAPMiner(RAPMinerConfig(backend="numpy")),
-            stream,
-            k=K,
-            config=BatchConfig(mode="vectorized"),
-        ),
+        lambda stream: _run_batch(RAPMiner(RAPMinerConfig(backend="numpy")), stream, K),
         rapmd_cases,
     )
     native_s, native_eval = _timed(
-        lambda stream: batch_localize(
-            RAPMiner(RAPMinerConfig(backend="native")),
-            stream,
-            k=K,
-            config=BatchConfig(mode="vectorized"),
-        ),
+        lambda stream: _run_batch(RAPMiner(RAPMinerConfig(backend="native")), stream, K),
         rapmd_cases,
     )
     _assert_identical(vectorized_eval, serial_eval, "vectorized-numpy")
@@ -174,18 +218,17 @@ def test_native_kernels_report(rapmd_cases, capsys):
 
     # -- kernel-trio micro-timings at preset scale -------------------------
     datasets = [case.dataset for case in _replayed_stream(rapmd_cases, REPLAY)]
-    workload = _trio_workload(datasets)
-    kernel_rows = []
-    trio_numpy = trio_native = 0.0
-    for kernel, args in workload.items():
+    for kernel, args in _trio_workload(datasets).items():
         numpy_out = getattr(reference, kernel)(*args)
         native_out = getattr(native, kernel)(*args)
         for lane, (a, b) in enumerate(zip(numpy_out, native_out)):
             assert np.array_equal(np.asarray(a), np.asarray(b)), (
                 f"{kernel} lane {lane} diverged bitwise across backends"
             )
-        numpy_s = _micro(lambda: getattr(reference, kernel)(*args))
-        native_kernel_s = _micro(lambda: getattr(native, kernel)(*args))
+    kernel_rows = []
+    trio_numpy = trio_native = 0.0
+    for kernel, timing in _trio_in_fresh_process().items():
+        numpy_s, native_kernel_s = timing["numpy_s"], timing["native_s"]
         trio_numpy += numpy_s
         trio_native += native_kernel_s
         kernel_rows.append(
@@ -205,6 +248,7 @@ def test_native_kernels_report(rapmd_cases, capsys):
         "n_cases": n_cases,
         "repeats": REPEATS,
         "micro_repeats": MICRO_REPEATS,
+        "micro_timing": {"process": "fresh child", "env": NEUTRAL_MALLOC},
         "cpu_count": cpu_count,
         "backend": backend_info(native),
         "end_to_end": {
@@ -254,3 +298,7 @@ def test_native_kernels_report(rapmd_cases, capsys):
         f"native kernel trio {trio_speedup:.2f}x below the {TARGET_SPEEDUP}x "
         f"floor vs the vectorized numpy kernels at fast-preset scale"
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(_trio_timings()))

@@ -1,9 +1,8 @@
-"""Case-stacked batch kernel throughput: serial vs vectorized vs auto.
+"""Case-stacked batch kernel throughput: serial vs vectorized.
 
-The workload is the same replayed-stream model as
-``test_batch_throughput.py`` — the fast preset's RAPMD cases repeated
-``REPLAY`` times as fresh snapshot objects over shared array buffers,
-i.e. a stream of snapshots of one KPI population.  That is exactly the
+The workload is a replayed stream — the fast preset's RAPMD cases
+repeated ``REPLAY`` times as fresh snapshot objects over shared array
+buffers, i.e. a stream of snapshots of one KPI population.  That is exactly the
 shape the case-stacked kernel (``core/stacked.py``) is built for: every
 replayed snapshot shares the leaf layout, so ``RAPMiner.run_batch``
 stacks the whole stream into one layout group and aggregates each BFS
@@ -13,17 +12,13 @@ Measured configurations:
 
 * **serial** — :func:`run_cases`, one cold engine per snapshot (the
   figure drivers' behaviour);
-* **vectorized** — :func:`batch_localize` with ``mode="vectorized"``:
-  the in-process stacked kernel, no pool, no transport;
-* **auto** — ``mode="auto"`` at 2 workers, recording what the host
-  heuristic resolved to (in-process vectorized on few-CPU machines, a
-  pool of vectorized workers otherwise).
+* **vectorized** — one :meth:`RAPMiner.run_batch` call over the whole
+  stream: the in-process stacked kernel that ``repro batch-localize``
+  and the fleet's micro-batch path reach.
 
-Every configuration's ranked output is asserted bit-identical to
-serial, and — unlike the process-pool benchmark, which only wins with
-spare physical cores — the vectorized kernel is pure array-level
-batching, so its ``TARGET_SPEEDUP`` floor is enforced on *every*
-machine, single-CPU containers included.
+The vectorized output is asserted bit-identical to serial, and the
+kernel is pure array-level batching, so its ``TARGET_SPEEDUP`` floor is
+enforced on *every* machine, single-CPU containers included.
 """
 
 from __future__ import annotations
@@ -34,11 +29,10 @@ import time
 from pathlib import Path
 
 from repro import RAPMiner
+from repro.data.dataset import FineGrainedDataset
+from repro.data.injection import LocalizationCase
 from repro.experiments.runner import run_cases
 from repro.native import backend_info
-from repro.parallel import BatchConfig, batch_localize
-
-from test_batch_throughput import _assert_identical, _replayed_stream
 
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_stacked.json"
 #: Stream length: fast-preset case list replayed this many times.
@@ -49,6 +43,46 @@ REPEATS = 3
 TARGET_SPEEDUP = 2.0
 #: Top-k of the RAPMD protocol.
 K = 5
+
+
+def _replayed_stream(cases, replay):
+    """The case list repeated *replay* times as fresh snapshot objects.
+
+    Array buffers are shared (zero extra memory); dataset and case
+    objects are fresh, so no engine cache survives from a previous timed
+    run — each configuration starts from the same cold state.
+    """
+    stream = []
+    for round_index in range(replay):
+        for case in cases:
+            dataset = case.dataset
+            stream.append(
+                LocalizationCase(
+                    case_id=f"{case.case_id}#r{round_index}",
+                    dataset=FineGrainedDataset(
+                        dataset.schema,
+                        dataset.codes,
+                        dataset.v,
+                        dataset.f,
+                        dataset.labels,
+                    ),
+                    true_raps=case.true_raps,
+                    metadata=dict(case.metadata),
+                )
+            )
+    return stream
+
+
+def _run_batch(method, stream, k=K):
+    """Top-*k* predictions of every case through one ``run_batch`` call."""
+    results = method.run_batch([case.dataset for case in stream], k=None)
+    return [list(result.top(k)) for result in results]
+
+
+def _assert_identical(predictions, serial_evaluation, label):
+    assert len(predictions) == len(serial_evaluation.results), f"{label}: case count"
+    for got, want in zip(predictions, serial_evaluation.results):
+        assert got == want.predicted, f"{label}: {want.case_id} diverged"
 
 
 def _timed(run, cases, repeats=REPEATS):
@@ -71,40 +105,20 @@ def test_stacked_throughput_report(rapmd_cases, capsys):
         lambda stream: run_cases(method, stream, k=K), rapmd_cases
     )
 
-    auto_config = BatchConfig(mode="auto", n_workers=min(2, cpu_count))
-    execution, worker_vectorized = auto_config.resolve_mode()
-    auto_resolved = "sharded+vectorized" if worker_vectorized else execution
-
-    configs = [
-        ("vectorized", BatchConfig(mode="vectorized")),
-        (f"auto ({auto_resolved})", auto_config),
-    ]
+    vectorized_s, predictions = _timed(
+        lambda stream: _run_batch(method, stream), rapmd_cases
+    )
+    _assert_identical(predictions, serial_eval, "vectorized")
+    vectorized_speedup = serial_s / vectorized_s
     rows = [
         {
-            "mode": "serial",
-            "wall_s": serial_s,
-            "cases_per_s": n_cases / serial_s,
-            "speedup_vs_serial": 1.0,
+            "mode": mode,
+            "wall_s": wall,
+            "cases_per_s": n_cases / wall,
+            "speedup_vs_serial": serial_s / wall,
         }
+        for mode, wall in (("serial", serial_s), ("vectorized", vectorized_s))
     ]
-    vectorized_speedup = None
-    for label, config in configs:
-        wall, evaluation = _timed(
-            lambda stream: batch_localize(method, stream, k=K, config=config),
-            rapmd_cases,
-        )
-        _assert_identical(evaluation, serial_eval, label)
-        speedup = serial_s / wall
-        rows.append(
-            {
-                "mode": label,
-                "wall_s": wall,
-                "cases_per_s": n_cases / wall,
-                "speedup_vs_serial": speedup,
-            }
-        )
-        if label == "vectorized":
-            vectorized_speedup = speedup
 
     report = {
         "benchmark": "case-stacked batch kernel throughput (RAPMD protocol, k=5)",
@@ -114,7 +128,6 @@ def test_stacked_throughput_report(rapmd_cases, capsys):
         "n_cases": n_cases,
         "repeats": REPEATS,
         "cpu_count": cpu_count,
-        "auto_resolved_mode": auto_resolved,
         "configurations": rows,
         "bit_identical_to_serial": True,
         "target_speedup_vectorized": TARGET_SPEEDUP,
@@ -148,10 +161,8 @@ def test_stacked_throughput_report(rapmd_cases, capsys):
 def test_benchmark_vectorized_path(benchmark, rapmd_cases):
     """pytest-benchmark timing of the in-process vectorized kernel (short stream)."""
     method = RAPMiner()
-    config = BatchConfig(mode="vectorized")
 
     def run():
-        stream = _replayed_stream(rapmd_cases, 2)
-        return batch_localize(method, stream, k=K, config=config)
+        return _run_batch(method, _replayed_stream(rapmd_cases, 2))
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -11,17 +11,17 @@ Subcommands
     PATH`` to capture the run's spans and engine counters as JSONL (see
     ``docs/observability.md``).
 ``repro batch-localize``
-    Run one localizer over a saved bundle through the process-pool batch
-    layer (:mod:`repro.parallel`): sharded cases, shared-memory leaf
-    tables, warm per-worker engines.  Output is bit-identical to the
-    serial ``localize`` path; the command reports throughput.
+    Run one localizer over a saved bundle as one fleet micro-batch
+    (:mod:`repro.fleet`), which reaches the method's case-stacked
+    ``run_batch`` kernel.  Output is bit-identical to the serial
+    ``localize`` path; the command reports throughput.
 ``repro fleet-localize``
-    Serve a saved bundle through the sharded multi-tenant fleet
-    (:mod:`repro.fleet`): layout-keyed warm-engine shards, per-tenant
-    quotas, work stealing, optional segment-log persistence
-    (``--store``), store replay verification (``--replay``) and
-    engine warm starts from a previous run's log (``--warm-start``).
-    Output is bit-identical to serial regardless of steal interleaving.
+    Serve a saved bundle through the multi-tenant fleet
+    (:mod:`repro.fleet`): one FIFO per schema layout served by
+    warm-engine workers, per-tenant quotas, optional segment-log
+    persistence (``--store``), store replay verification (``--replay``)
+    and engine warm starts from a previous run's log (``--warm-start``).
+    Output is bit-identical to serial regardless of worker interleaving.
 ``repro stream-localize``
     Replay a saved bundle as consecutive ticks of one stream through the
     delta-patching :class:`~repro.core.incremental.StreamingRAPMiner`:
@@ -44,7 +44,7 @@ Subcommands
     JSONL trace captured with ``--trace``.
 ``repro evaluate``
     Run a method cohort over a saved bundle and print the F1 / RC@k and
-    running-time tables.  ``--workers N`` shards each method's run.
+    running-time tables.
 ``repro reproduce``
     Regenerate one of the paper's tables/figures end to end
     (``table4``, ``table6``, ``fig8a``, ``fig8b``, ``fig9a``, ``fig9b``,
@@ -56,14 +56,14 @@ Examples
 
     repro generate rapmd --out rapmd.npz --scale fast --seed 1
     repro localize --cases rapmd.npz --method RAPMiner --k 3
-    repro batch-localize --cases rapmd.npz --workers 4 --k 3
+    repro batch-localize --cases rapmd.npz --k 3
     repro fleet-localize --cases rapmd.npz --shards 2 --store fleet.log
     repro fleet-localize --replay fleet.log
     repro stream-localize --cases rapmd.npz --crossover auto --verify
     repro stream-localize --cases rapmd.npz --serve-metrics 127.0.0.1:9464
     repro serve --port 8765 --shards 2 --tenants edge-eu,edge-us
     repro profile --trace run.jsonl --top 10
-    repro evaluate --cases rapmd.npz --protocol rc --workers 2
+    repro evaluate --cases rapmd.npz --protocol rc
     repro reproduce fig8b --scale paper
 """
 
@@ -255,10 +255,10 @@ def _run_localize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_batch_localize(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace) -> int:
     import time as _time
 
-    from .parallel import BatchConfig, batch_localize
+    from .fleet import FleetConfig, fleet_localize
 
     cases = load_cases(args.cases)
     method = _apply_backend(
@@ -267,19 +267,11 @@ def _cmd_batch_localize(args: argparse.Namespace) -> int:
         ),
         args.backend,
     )
-    config = BatchConfig(
-        n_workers=args.workers,
-        transport=args.transport,
-        chunk_size=args.chunk_size,
-        warm_engines=not args.cold_engines,
-        mode=args.mode,
+    config = FleetConfig.one_batch(
+        len(cases), k=args.k, k_from_truth=args.k is None, backend=args.backend
     )
-    execution, worker_vectorized = config.resolve_mode()
-    resolved = "sharded+vectorized" if worker_vectorized else execution
     start = _time.perf_counter()
-    evaluation = batch_localize(
-        method, cases, k=args.k, k_from_truth=args.k is None, config=config
-    )
+    evaluation = fleet_localize(method, cases, config=config)
     wall = _time.perf_counter() - start
     for result in evaluation.results:
         hits = sum(1 for p in result.predicted if p in result.true_raps)
@@ -290,13 +282,12 @@ def _cmd_batch_localize(args: argparse.Namespace) -> int:
         )
     failures = evaluation.failures()
     if failures:
-        print(f"\n{len(failures)} case(s) returned error records (shard failed twice)")
-    in_worker = sum(r.seconds for r in evaluation.results)
+        print(f"\n{len(failures)} case(s) returned error records (crashed twice)")
+    in_kernel = sum(r.seconds for r in evaluation.results)
     throughput = len(cases) / wall if wall > 0 else float("inf")
     print(
-        f"\n{len(cases)} cases via {config.n_workers} worker(s), "
-        f"mode={resolved}, transport={config.transport}: {wall:.3f} s wall "
-        f"({in_worker:.3f} s in-worker), {throughput:.1f} cases/s"
+        f"\n{len(cases)} cases in one micro-batch per layout: {wall:.3f} s wall "
+        f"({in_kernel:.3f} s in-kernel), {throughput:.1f} cases/s"
     )
     return 0
 
@@ -314,7 +305,6 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
     )
     config = FleetConfig(
         shards_per_layout=args.shards,
-        steal=not args.no_steal,
         microbatch=args.microbatch,
         tenant_quota=args.tenant_quota,
         k=args.k,
@@ -387,13 +377,11 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
     failures = evaluation.failures()
     if failures:
         print(f"\n{len(failures)} case(s) returned error records")
-    scheduler = supervisor.scheduler
     throughput = len(cases) / wall if wall > 0 else float("inf")
     print(
-        f"\n{len(cases)} cases over {len(scheduler.shards)} shard(s) "
-        f"({config.shards_per_layout}/layout, steal={'on' if config.steal else 'off'}): "
-        f"{wall:.3f} s wall, {throughput:.1f} cases/s, "
-        f"{scheduler.total_steals} steal(s) moved {scheduler.total_stolen} case(s)"
+        f"\n{len(cases)} cases over {config.shards_per_layout} worker(s) per "
+        f"layout: {wall:.3f} s wall, {throughput:.1f} cases/s, "
+        f"{supervisor.requeues} crash requeue(s)"
     )
     return 0
 
@@ -568,7 +556,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"{len(cases)} cases, {len(methods)} methods, protocol={args.protocol}")
     if args.protocol == "f1":
         evaluations = {
-            m.name: run_cases(m, cases, k_from_truth=True, n_workers=args.workers)
+            m.name: run_cases(m, cases, k_from_truth=True)
             for m in methods
         }
         rows = [
@@ -578,7 +566,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(render_table(["method", "mean F1", "mean time"], rows))
     else:
         evaluations = {
-            m.name: run_cases(m, cases, k=5, n_workers=args.workers) for m in methods
+            m.name: run_cases(m, cases, k=5) for m in methods
         }
         rows = [
             [
@@ -632,7 +620,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         return 0
     if target in ("fig8a", "fig9a"):
-        evaluations = run_squeeze_comparison(preset.squeeze_cases(), n_workers=args.workers)
+        evaluations = run_squeeze_comparison(preset.squeeze_cases())
         if target == "fig8a":
             print(render_series_table(figure8a(evaluations), column_order=GROUP_ORDER))
         else:
@@ -644,14 +632,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         return 0
     cases = preset.rapmd_cases()
     if target == "fig8b":
-        evaluations = run_rapmd_comparison(cases, n_workers=args.workers)
+        evaluations = run_rapmd_comparison(cases)
         print(
             render_series_table(
                 figure8b(evaluations), column_order=[3, 4, 5], first_header="method \\ k"
             )
         )
     elif target == "fig9b":
-        evaluations = run_rapmd_comparison(cases, n_workers=args.workers)
+        evaluations = run_rapmd_comparison(cases)
         rows = [
             [name, format_seconds(seconds)]
             for name, seconds in figure9b(evaluations).items()
@@ -756,50 +744,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch-localize",
-        help="run one localizer over a bundle through the process-pool batch layer",
+        help="run one localizer over a bundle as one stacked fleet micro-batch",
     )
     batch.add_argument("--cases", required=True, help="case bundle (.json or .npz)")
     batch.add_argument("--method", default="RAPMiner")
     batch.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
-    batch.add_argument("--workers", type=int, default=2, help="pool size (1 = serial)")
-    batch.add_argument("--transport", choices=["shm", "pickle"], default="shm")
-    batch.add_argument("--chunk-size", type=int, default=None, help="cases per shard")
-    batch.add_argument(
-        "--mode",
-        choices=["sharded", "vectorized", "auto"],
-        default="auto",
-        help="sharded per-case pool, in-process case-stacked kernel, "
-        "or auto host heuristic (default)",
-    )
-    batch.add_argument(
-        "--cold-engines",
-        action="store_true",
-        help="disable warm per-worker engine reuse (serial cost profile)",
-    )
     _add_resilience_flags(batch)
     _add_backend_flag(batch)
-    batch.set_defaults(handler=_cmd_batch_localize)
+    batch.set_defaults(handler=_cmd_batch)
 
     fleet = sub.add_parser(
         "fleet-localize",
-        help="serve a bundle through the sharded multi-tenant fleet",
+        help="serve a bundle through the multi-tenant fleet",
     )
     fleet.add_argument("--cases", help="case bundle (.json or .npz)")
     fleet.add_argument("--method", default="RAPMiner")
     fleet.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
     fleet.add_argument(
-        "--shards", type=int, default=2, help="shards per schema layout"
-    )
-    fleet.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="disable work stealing (static home-shard routing)",
+        "--shards", type=int, default=2, help="workers per schema layout FIFO"
     )
     fleet.add_argument(
         "--microbatch",
         type=int,
         default=1,
-        help="cases a shard acquires per trip (>1 uses the stacked kernel)",
+        help="cases a worker takes per trip (>1 uses the stacked kernel)",
     )
     fleet.add_argument(
         "--tenant-quota",
@@ -817,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--warm-start",
-        help="prime shard engines from this segment log before serving",
+        help="prime worker engines from this segment log before serving",
     )
     _add_resilience_flags(fleet)
     _add_backend_flag(fleet)
@@ -882,9 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--k", type=int, default=None, help="default top-k when a request sends none"
     )
-    serve.add_argument("--shards", type=int, default=2, help="shards per schema layout")
     serve.add_argument(
-        "--microbatch", type=int, default=1, help="cases a shard acquires per trip"
+        "--shards", type=int, default=2, help="workers per schema layout FIFO"
+    )
+    serve.add_argument(
+        "--microbatch", type=int, default=1, help="cases a worker takes per trip"
     )
     serve.add_argument(
         "--tenant-quota",
@@ -962,7 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="evaluate a method cohort")
     evaluate.add_argument("--cases", required=True)
-    evaluate.add_argument("--workers", type=int, default=1, help="process-pool size per method")
     evaluate.add_argument(
         "--methods", default=None, help="comma-separated (default: paper cohort)"
     )
@@ -988,7 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("--scale", choices=["fast", "paper"], default="fast")
     reproduce.add_argument("--seed", type=int, default=1)
-    reproduce.add_argument("--workers", type=int, default=1, help="process-pool size per method")
     reproduce.set_defaults(handler=_cmd_reproduce)
 
     report = sub.add_parser("report", help="full Markdown reproduction report")

@@ -53,9 +53,8 @@ class RAPMinerConfig:
     #: ``docs/resilience.md``.
     degradation: Optional[DegradationPolicy] = None
     #: Time source for the deadline budget (``None`` = ``time.monotonic``).
-    #: Must be picklable to survive process-pool transport — e.g.
-    #: :class:`repro.resilience.StepClock`, which makes budget expiry
-    #: reproducible check-for-check in tests and pool workers alike.
+    #: E.g. :class:`repro.resilience.StepClock`, which makes budget
+    #: expiry reproducible check-for-check in tests.
     deadline_clock: Optional[Callable[[], float]] = None
     #: Kernel backend for the aggregation hot paths: ``"auto"`` (native
     #: when a C compiler or cached library is available, else numpy),

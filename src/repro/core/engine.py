@@ -90,7 +90,7 @@ __all__ = [
 #: does — the dataset <-> engine cycle is an ordinary gc-collectable
 #: cycle, and per-interval tables do not accumulate engine state.
 #: ``FineGrainedDataset.__getstate__`` drops the attribute, so pickled
-#: datasets (e.g. process-pool case transport) never carry a cache.
+#: datasets never carry a cache.
 _ENGINE_ATTR = "_repro_engine"
 
 #: Upper bound on the element count of one batched pass; layers whose

@@ -221,10 +221,8 @@ class RAPMiner:
         scores, stats and stop reasons — are bit-identical to calling
         :meth:`run` on every dataset individually, in input order.
 
-        This is the in-process kernel behind
-        :func:`repro.parallel.batch.batch_localize`'s ``"vectorized"``
-        mode; it composes with process sharding (each worker stacks its
-        shard).
+        This is the kernel behind the fleet's micro-batch path
+        (``FleetConfig.microbatch > 1``, and ``repro batch-localize``).
 
         ``budget`` and ``degradation`` behave as in :meth:`run`, with the
         budget shared by the whole batch.  A policy that steps off the

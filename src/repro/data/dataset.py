@@ -138,8 +138,7 @@ class FineGrainedDataset:
     def __getstate__(self):
         # The aggregation engine caches itself on the dataset
         # (repro.core.engine.engine_for); its derived state is cheap to
-        # rebuild and must not ride along in pickles (e.g. process-pool
-        # case transport).
+        # rebuild and must not ride along in pickles.
         state = self.__dict__.copy()
         state.pop("_repro_engine", None)
         return state

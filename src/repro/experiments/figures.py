@@ -50,33 +50,20 @@ RAPMD_KS: Tuple[int, ...] = (3, 4, 5)
 def run_squeeze_comparison(
     cases: Sequence[LocalizationCase],
     methods: Optional[Sequence] = None,
-    n_workers: int = 1,
 ) -> Dict[str, MethodEvaluation]:
-    """Run the cohort on Squeeze-style cases under the F1 protocol.
-
-    ``n_workers`` shards each method's cases over a process pool (see
-    :func:`repro.experiments.runner.run_cases`); figures are unchanged by
-    it — batch output is bit-identical to serial.
-    """
+    """Run the cohort on Squeeze-style cases under the F1 protocol."""
     methods = list(methods) if methods is not None else paper_methods()
-    return {
-        m.name: run_cases(m, cases, k_from_truth=True, n_workers=n_workers)
-        for m in methods
-    }
+    return {m.name: run_cases(m, cases, k_from_truth=True) for m in methods}
 
 
 def run_rapmd_comparison(
     cases: Sequence[LocalizationCase],
     methods: Optional[Sequence] = None,
     k: int = max(RAPMD_KS),
-    n_workers: int = 1,
 ) -> Dict[str, MethodEvaluation]:
-    """Run the cohort on RAPMD cases under the top-k protocol.
-
-    ``n_workers`` as in :func:`run_squeeze_comparison`.
-    """
+    """Run the cohort on RAPMD cases under the top-k protocol."""
     methods = list(methods) if methods is not None else paper_methods()
-    return {m.name: run_cases(m, cases, k=k, n_workers=n_workers) for m in methods}
+    return {m.name: run_cases(m, cases, k=k) for m in methods}
 
 
 # -- Fig. 8: effectiveness -----------------------------------------------------

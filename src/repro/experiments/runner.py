@@ -36,10 +36,10 @@ class CaseResult:
     true_raps: Tuple[AttributeCombination, ...]
     seconds: float
     group: Optional[Hashable] = None
-    #: Failure record from the fault-tolerant batch layer: when a pool
-    #: shard crashes twice, its cases come back with empty predictions and
-    #: the error message here instead of the whole batch raising (see
-    #: :func:`repro.parallel.batch.batch_localize`).  ``None`` = clean run.
+    #: Failure record from the fleet's crash protocol: a case whose
+    #: second attempt also crashes comes back with empty predictions and
+    #: the error message here instead of the whole run raising (see
+    #: :mod:`repro.fleet.supervisor`).  ``None`` = clean run.
     error: Optional[str] = None
 
     @property
@@ -72,7 +72,7 @@ class MethodEvaluation:
         return recall_at_k(((r.predicted, r.true_raps) for r in self.results), k)
 
     def failures(self) -> List[CaseResult]:
-        """Results that carry a batch-layer error record."""
+        """Results that carry a crash-protocol error record."""
         return [r for r in self.results if r.error is not None]
 
     def groups(self) -> List[Hashable]:
@@ -104,7 +104,6 @@ def run_cases(
     k: Optional[int] = None,
     k_from_truth: bool = False,
     group_key: str = "group",
-    n_workers: int = 1,
 ) -> MethodEvaluation:
     """Evaluate *method* over *cases*.
 
@@ -122,24 +121,10 @@ def run_cases(
     group_key:
         Metadata key used to group results (``"group"`` for the Squeeze
         dataset's ``(n_dim, n_raps)`` keys).
-    n_workers:
-        Shard the cases over a process pool of this size via
-        :func:`repro.parallel.batch_localize`.  Results keep input order,
-        ``seconds`` is still measured inside the worker per case, and the
-        ranked output is bit-identical to the serial run; ``1`` (default)
-        is the serial loop below.
-    """
-    if n_workers > 1:
-        from ..parallel import BatchConfig, batch_localize
 
-        return batch_localize(
-            method,
-            cases,
-            k=k,
-            k_from_truth=k_from_truth,
-            group_key=group_key,
-            config=BatchConfig(n_workers=n_workers),
-        )
+    This serial loop is the reference every executor path
+    (:mod:`repro.fleet`) is tested bit-identical against.
+    """
     evaluation = MethodEvaluation(method_name=getattr(method, "name", type(method).__name__))
     for case in cases:
         case_k = len(case.true_raps) if k_from_truth else k

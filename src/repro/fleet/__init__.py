@@ -1,32 +1,26 @@
-"""Sharded multi-tenant serving fleet.
+"""Multi-tenant case executor.
 
-The batch layer (:mod:`repro.parallel`) executes one homogeneous batch
-at a time; this package serves many concurrent tenant streams: a
-work-stealing scheduler over layout-keyed warm-engine shards
-(:mod:`repro.fleet.scheduler`), a supervisor owning the workers, the
-admission quotas and the crash protocol (:mod:`repro.fleet.supervisor`),
-and an append-only segment-log store for replay, audit and warm starts
+Every multi-case path of the repository — ``fleet-localize``,
+``batch-localize`` and ``serve`` — runs here: one FIFO per schema layout,
+served by worker threads that each keep a private warm engine, plus
+per-tenant quotas, micro-batching through the case-stacked kernel and
+the crash protocol (:mod:`repro.fleet.supervisor`), and an append-only
+segment-log store for replay, audit and warm starts
 (:mod:`repro.fleet.store`).  Output is bit-identical to a serial run —
 results are sequenced by submission id, never completion order.  See
 ``docs/architecture.md`` (structure) and ``docs/operational.md``
-(queue/quota/steal sizing).
+(queue/quota sizing).
 """
 
-from .scheduler import (
-    FleetItem,
-    LayoutKey,
-    NoCompatibleShard,
-    ShardQueue,
-    WorkStealingScheduler,
-    layout_key,
-    simulated_makespan,
-)
 from .store import MAGIC, STORE_VERSION, FleetStore, StoreRecord
 from .supervisor import (
     CaseOutcome,
     FleetConfig,
+    FleetItem,
     FleetSupervisor,
+    LayoutKey,
     fleet_localize,
+    layout_key,
     replay_store,
     tenant_of,
 )
@@ -39,14 +33,10 @@ __all__ = [
     "FleetSupervisor",
     "LayoutKey",
     "MAGIC",
-    "NoCompatibleShard",
     "STORE_VERSION",
-    "ShardQueue",
     "StoreRecord",
-    "WorkStealingScheduler",
     "fleet_localize",
     "layout_key",
     "replay_store",
-    "simulated_makespan",
     "tenant_of",
 ]

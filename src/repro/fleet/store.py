@@ -25,7 +25,7 @@ the writer died mid-record — is detected by length/CRC, reported with a
 writable (an append-only log recovers by dropping the partial record,
 exactly like the JSONL reader's truncated-final-line tolerance).
 
-Everything is lock-protected: fleet shard workers append results from
+Everything is lock-protected: fleet workers append results from
 their own threads.
 """
 

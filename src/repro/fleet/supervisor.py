@@ -1,36 +1,41 @@
-"""Fleet supervisor: long-lived warm-engine shards serving tenant streams.
+"""Fleet supervisor: the one executor for many localization cases.
 
-:class:`FleetSupervisor` turns the repo's one-batch-at-a-time execution
-layer into a continuously-serving fleet.  It owns a group of **shards**
-per schema layout — each a long-lived worker holding the warm
-:class:`~repro.core.engine.AggregationEngine` of the last case it ran
-per layout, so consecutive cases of one tenant reuse code-derived caches
-through :meth:`~repro.core.engine.AggregationEngine.warm_clone` instead
-of re-aggregating from cold — and drives them through the
-work-stealing :class:`~repro.fleet.scheduler.WorkStealingScheduler`.
+:class:`FleetSupervisor` runs every multi-case path of the repository —
+``repro fleet-localize``, ``repro batch-localize`` and the ``repro
+serve`` front door.  Cases queue on **one FIFO per schema layout** (the
+``(attribute names, sizes)`` pair that decides whether two cases can
+share an engine's code-derived caches).  Each FIFO is served by
+:attr:`FleetConfig.shards_per_layout` workers, and each worker keeps its
+own warm :class:`~repro.core.engine.AggregationEngine` — the engine of
+the last case it ran — so consecutive cases over one leaf population
+reuse code-derived caches through
+:meth:`~repro.core.engine.AggregationEngine.warm_clone` instead of
+re-aggregating from cold.  Warm clones share mutable caches with their
+source, so an engine never passes from one worker to another.  A shared
+FIFO balances its workers by itself: whichever worker is free takes the
+next item.
 
 Determinism contract: each case's localization touches only that case's
 dataset and engine, warm clones are bitwise-equal to cold builds (the
 engine layer's invariant), and results are reassembled by submission
 sequence id — so fleet output is **bit-identical to a serial run** of
-the same cases, whatever the steal interleaving, shard count, quota
-pressure, or crash pattern.  The property suite drives randomized steal
-schedules through the ``inline`` mode to check exactly this.
+the same cases, whatever the worker interleaving, worker count, quota
+pressure, or crash pattern.  The property suite drives randomized
+interleavings through the ``inline`` mode to check exactly this.
 
 Admission control: each tenant may hold at most
-:attr:`FleetConfig.tenant_quota` cases in the shard queues; excess
-submissions wait in a per-tenant overflow deque and are admitted (in
-submission order) as that tenant's earlier cases complete.  This bounds
-any single tenant's queue footprint — the skewed tenant of a Zipf mix
-cannot monopolize shard memory — without changing output order.
+:attr:`FleetConfig.tenant_quota` cases in the FIFOs; excess submissions
+wait in a per-tenant overflow deque and are admitted (in submission
+order) as that tenant's earlier cases complete.  This bounds any single
+tenant's queue footprint without changing output order.
 
 Crash handling composes with the resilience layer's contract: an
-exception escaping a shard's localizer (e.g. the chaos harness's
-:class:`~repro.resilience.chaos.WorkerCrash`) kills the shard; its
-in-flight and queued items requeue **once** onto surviving same-layout
-shards, and an item whose second attempt also dies — or whose layout has
-no survivors — degrades to a :class:`~repro.experiments.runner.CaseResult`
-with the failure on ``error``, never a raised batch.
+exception escaping a worker's localizer (e.g. the chaos harness's
+:class:`~repro.resilience.chaos.WorkerCrash`) requeues the case that was
+running **once** onto the same FIFO, and the worker keeps serving.  A
+case whose second attempt also dies degrades to a
+:class:`~repro.experiments.runner.CaseResult` with the failure on
+``error``, never a raised batch.
 """
 
 from __future__ import annotations
@@ -38,38 +43,44 @@ from __future__ import annotations
 import inspect
 import threading
 import time
-from dataclasses import dataclass, field
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..core.engine import AggregationEngine, engine_for
+from ..core.engine import AggregationEngine, engine_for, install_engine
+from ..data.dataset import FineGrainedDataset
 from ..data.injection import LocalizationCase
 from ..experiments.runner import CaseResult, MethodEvaluation
 from ..metrics.timing import time_localization
 from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationPolicy
-from .scheduler import (
-    FleetItem,
-    LayoutKey,
-    NoCompatibleShard,
-    WorkStealingScheduler,
-    layout_key,
-)
 from .store import FleetStore
 
 __all__ = [
     "CaseOutcome",
     "FleetConfig",
+    "FleetItem",
     "FleetSupervisor",
+    "LayoutKey",
     "fleet_localize",
+    "layout_key",
     "replay_store",
     "tenant_of",
 ]
 
 #: Metadata key carrying a case's tenant; absent means ``"default"``.
 TENANT_KEY = "tenant"
+
+#: A layout key: the schema identity that decides engine-cache
+#: compatibility, and so which FIFO a case queues on.
+LayoutKey = Tuple[Tuple[str, ...], Tuple[int, ...]]
+
+
+def layout_key(dataset: FineGrainedDataset) -> LayoutKey:
+    """The FIFO key of *dataset* (schema names and sizes)."""
+    return (tuple(dataset.schema.names), tuple(dataset.schema.sizes))
 
 
 def tenant_of(case: LocalizationCase) -> str:
@@ -81,20 +92,17 @@ def tenant_of(case: LocalizationCase) -> str:
 class FleetConfig:
     """Tuning knobs of one fleet run (see ``docs/operational.md``)."""
 
-    #: Shards per schema layout (queue count = layouts x this).
+    #: Workers serving each schema layout's FIFO.
     shards_per_layout: int = 2
-    #: Work stealing on/off (off = the static-shard benchmark baseline).
-    steal: bool = True
-    #: Cases a shard acquires per trip to the scheduler.  ``1`` runs the
+    #: Cases a worker takes from its FIFO per trip.  ``1`` runs the
     #: per-case path with warm engine reuse; larger values opt into the
     #: method's case-stacked ``run_batch`` kernel when it has one.
     microbatch: int = 1
     #: Max queued (admitted, not yet completed) cases per tenant; excess
     #: waits in the supervisor's overflow deque.
     tenant_quota: int = 8
-    #: ``"thread"`` runs one worker thread per shard; ``"inline"``
-    #: single-steps shards deterministically in the calling thread
-    #: (property tests and the virtual-clock benchmark use it).
+    #: ``"thread"`` runs one thread per worker; ``"inline"`` single-steps
+    #: workers deterministically in the calling thread (property tests).
     mode: str = "thread"
     #: Ranked patterns to keep per case (``None`` = all; overridden per
     #: case by ``k_from_truth``).
@@ -105,18 +113,68 @@ class FleetConfig:
     group_key: str = "group"
     #: Kernel backend name for cold engine builds (``None`` = default).
     backend: Optional[str] = None
-    #: Inline-mode shard interleaving: a ``random.Random``-like object
-    #: with ``choice`` picks which ready shard steps next; ``None`` is
+    #: Inline-mode worker interleaving: a ``random.Random``-like object
+    #: with ``choice`` picks which ready worker steps next; ``None`` is
     #: round-robin.  Ignored in thread mode.
     schedule: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("thread", "inline"):
             raise ValueError(f"mode must be 'thread' or 'inline', got {self.mode!r}")
+        if self.shards_per_layout < 1:
+            raise ValueError(
+                f"shards_per_layout must be >= 1, got {self.shards_per_layout}"
+            )
         if self.microbatch < 1:
             raise ValueError(f"microbatch must be >= 1, got {self.microbatch}")
         if self.tenant_quota < 1:
             raise ValueError(f"tenant_quota must be >= 1, got {self.tenant_quota}")
+
+    @classmethod
+    def one_batch(cls, n_cases: int, **overrides) -> "FleetConfig":
+        """The ``batch-localize`` configuration: one micro-batch per layout.
+
+        Every case is admitted at once and one inline worker per layout
+        hands its whole FIFO to the method's case-stacked kernel.
+        """
+        batch = max(1, n_cases)
+        return cls(
+            shards_per_layout=1,
+            microbatch=batch,
+            tenant_quota=batch,
+            mode="inline",
+            **overrides,
+        )
+
+
+@dataclass
+class FleetItem:
+    """One queued localization case, tagged for its FIFO and its sequence.
+
+    ``seq`` is the global submission order — the only ordering the
+    fleet's output respects.  ``attempts`` counts executions started; a
+    crashed item requeues once (``attempts == 1``) before degrading to
+    an error record.
+
+    ``deadline_ms`` / ``degrade`` are the per-request resilience
+    contract of the serving front door (:mod:`repro.serving`): a
+    deadline-carrying item runs through the method's budget-aware
+    ``run`` path (when it has one) so one slow request degrades itself
+    instead of stalling its worker; items without a deadline take the
+    plain ``localize`` path, bit-identical to a serial run.
+    """
+
+    seq: int
+    tenant: str
+    case: LocalizationCase
+    layout: LayoutKey
+    attempts: int = 0
+    #: Per-item wall-clock budget in milliseconds (``None`` = unlimited).
+    deadline_ms: Optional[float] = None
+    #: Apply the default degradation ladder while the budget drains.
+    degrade: bool = False
+    #: Per-item top-k override (``None`` = the fleet config's policy).
+    k: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -126,7 +184,7 @@ class CaseOutcome:
     The serving front door (:mod:`repro.serving`) keys per-request
     response futures on ``seq``; everything else is what the network
     response needs that a :class:`~repro.experiments.runner.CaseResult`
-    row does not carry (tenant, shard, stop reason, degradation tier).
+    row does not carry (tenant, worker, stop reason, degradation tier).
     """
 
     seq: int
@@ -134,6 +192,7 @@ class CaseOutcome:
     tenant: str
     predicted: Tuple
     seconds: float
+    #: Id of the worker that ran the case (``None`` for error rows).
     shard: Optional[int] = None
     error: Optional[str] = None
     #: Search stop reason when the item ran the budget-aware path
@@ -144,17 +203,30 @@ class CaseOutcome:
 
 
 @dataclass
-class _ShardState:
-    """Supervisor-side state of one shard worker."""
+class _Worker:
+    """One worker of a layout FIFO and its private warm engine."""
 
-    shard_id: int
-    #: Warm engine per layout: the engine of the last case this shard ran.
-    engines: Dict[LayoutKey, AggregationEngine] = field(default_factory=dict)
+    worker_id: int
+    layout: LayoutKey
+    #: The engine of the last case this worker ran (the warm source).
+    engine: Optional[AggregationEngine] = None
+    #: The thread serving this worker, while one runs (thread mode).
     thread: Optional[threading.Thread] = None
 
 
+@dataclass
+class _LayoutQueue:
+    """One layout's FIFO, its wake-up condition and its workers."""
+
+    items: deque
+    ready: threading.Condition
+    workers: List[_Worker]
+    #: ``fleet_queue_depth`` label: ``name=size`` per attribute.
+    label: str
+
+
 class FleetSupervisor:
-    """Owns the shards, the scheduler, and the result reassembly.
+    """Owns the layout FIFOs, their workers, and the result reassembly.
 
     One supervisor serves one *drain*: submit cases (all up front or
     incrementally), call :meth:`drain`, collect the
@@ -172,10 +244,6 @@ class FleetSupervisor:
         self.method = method
         self.config = config if config is not None else FleetConfig()
         self.store = store
-        self.scheduler = WorkStealingScheduler(
-            shards_per_layout=self.config.shards_per_layout,
-            steal=self.config.steal,
-        )
         #: Per-finish hook: called with a :class:`CaseOutcome` (off the
         #: supervisor lock, from whichever thread finished the case) as
         #: each result lands.  The serving layer resolves its response
@@ -189,22 +257,23 @@ class FleetSupervisor:
                 self._runner_params = frozenset()
         else:
             self._runner_params = frozenset()
-        #: Serving mode: workers persist across idle periods instead of
-        #: exiting when the queues drain (see :meth:`start_serving`).
-        self._serving = False
         self._lock = threading.Lock()
-        self._states: Dict[int, _ShardState] = {}
+        self._queues: Dict[LayoutKey, _LayoutQueue] = {}
+        self._workers: List[_Worker] = []
+        #: Set once the fleet has nothing left to run: a worker finding
+        #: its FIFO empty then retires instead of waiting.
+        self._closed = False
+        #: Serving mode: workers persist across idle periods instead of
+        #: retiring when the FIFOs drain (see :meth:`start_serving`).
+        self._serving = False
+        #: True during a thread drain or while serving: new layouts get
+        #: worker threads as soon as their FIFO is created.
+        self._spawning = False
         self._rows: Dict[int, Tuple] = {}
         self._overflow: Dict[str, deque] = {}
         self._inflight: Dict[str, int] = {}
         self._outstanding = 0
         self._next_seq = 0
-        #: Thread-mode drain bookkeeping: shards with a worker this drain,
-        #: the worker threads to join, and whether a drain is in flight.
-        self._worker_shards: set = set()
-        self._worker_threads: List[threading.Thread] = []
-        self._thread_drain_active = False
-        #: Cases whose second attempt is pending, keyed by seq (crash path).
         self._requeues = 0
         self._crashes = 0
 
@@ -229,8 +298,11 @@ class FleetSupervisor:
         their own ``k``).
         """
         tenant = tenant_of(case) if tenant is None else str(tenant)
+        with self._lock:
+            seq = self._next_seq
+            self._next_seq += 1
         item = FleetItem(
-            seq=self._take_seq(),
+            seq=seq,
             tenant=tenant,
             case=case,
             layout=layout_key(case.dataset),
@@ -239,7 +311,7 @@ class FleetSupervisor:
             k=k,
         )
         if self.store is not None:
-            self.store.append_case(item.seq, tenant, case)
+            self.store.append_case(seq, tenant, case)
         if _trace.ACTIVE:
             obs.inc("fleet_cases_total")
         with self._lock:
@@ -248,56 +320,110 @@ class FleetSupervisor:
                 self._overflow.setdefault(tenant, deque()).append(item)
                 if _trace.ACTIVE:
                     obs.inc("fleet_quota_deferrals_total")
-                return item.seq
+                return seq
             self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
-        self._dispatch(item)
-        return item.seq
+            self._enqueue(item)
+        return seq
 
-    def _take_seq(self) -> int:
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
+    # -- FIFOs (all called with the lock held) -----------------------------
 
-    def _dispatch(self, item: FleetItem) -> None:
-        """Hand an admitted item to the scheduler (or degrade it)."""
-        try:
-            self.scheduler.submit(item)
-        except NoCompatibleShard as exc:
-            self._record_error(item, exc)
+    def _queue_for(self, layout: LayoutKey) -> _LayoutQueue:
+        """The FIFO of *layout*, created with its workers on first use."""
+        queue = self._queues.get(layout)
+        if queue is None:
+            workers = []
+            for __ in range(self.config.shards_per_layout):
+                worker = _Worker(worker_id=len(self._workers), layout=layout)
+                self._workers.append(worker)
+                workers.append(worker)
+            queue = _LayoutQueue(
+                items=deque(),
+                ready=threading.Condition(self._lock),
+                workers=workers,
+                label=",".join(f"{n}={s}" for n, s in zip(*layout)),
+            )
+            self._queues[layout] = queue
+            self._spawn_missing()
+        return queue
+
+    def _enqueue(self, item: FleetItem, front: bool = False) -> None:
+        """Put *item* on its layout's FIFO and wake one waiting worker."""
+        queue = self._queue_for(item.layout)
+        if front:
+            queue.items.appendleft(item)
+        else:
+            queue.items.append(item)
+        queue.ready.notify()
+        if _trace.ACTIVE:
+            obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
+
+    def _spawn_missing(self) -> None:
+        """Start a thread for every worker without one (drain or serving)."""
+        if not self._spawning:
             return
-        # The submit may have created a first-seen layout's shard group
-        # (overflow admission mid-drain); a thread-mode drain must grow a
-        # worker for it or its queue is never serviced and drain() hangs.
-        self._ensure_workers()
+        for worker in self._workers:
+            if worker.thread is not None:
+                continue
+            worker.thread = threading.Thread(
+                target=self._serve,
+                args=(worker,),
+                name=f"fleet-worker-{worker.worker_id}",
+                daemon=True,
+            )
+            # A fresh thread first needs the lock held here to take an
+            # item, so starting it under the lock cannot deadlock.
+            worker.thread.start()
+
+    def _close(self) -> None:
+        """Let every worker that finds its FIFO empty retire."""
+        with self._lock:
+            self._closed = True
+            for queue in self._queues.values():
+                queue.ready.notify_all()
+
+    def _acquire(self, worker: _Worker, block: bool) -> List[FleetItem]:
+        """Up to ``microbatch`` items from the head of *worker*'s FIFO.
+
+        With ``block=True`` the call waits for items until the fleet is
+        closed; an empty return then retires the worker's thread.  The
+        retirement is recorded under the same lock hold as the decision,
+        so :meth:`start_serving` either sees the thread live (and reuses
+        it) or gone (and starts a fresh one) — never both.
+        """
+        with self._lock:
+            queue = self._queues[worker.layout]
+            while not queue.items:
+                if self._closed or not block:
+                    if block:
+                        worker.thread = None
+                    return []
+                queue.ready.wait()
+            count = min(self.config.microbatch, len(queue.items))
+            batch = [queue.items.popleft() for __ in range(count)]
+            for item in batch:
+                item.attempts += 1
+            if _trace.ACTIVE:
+                obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
+            return batch
 
     # -- execution ---------------------------------------------------------
 
-    def _state_for(self, shard_id: int) -> _ShardState:
-        with self._lock:
-            state = self._states.get(shard_id)
-            if state is None:
-                state = _ShardState(shard_id=shard_id)
-                self._states[shard_id] = state
-            return state
-
-    def _engine_ready(self, state: _ShardState, case: LocalizationCase) -> None:
+    def _engine_ready(self, worker: _Worker, case: LocalizationCase) -> None:
         """Install a warm or cold engine for the case's dataset.
 
         A warm clone is only legal over an identical leaf population
         (same schema *and* codes); otherwise the build falls back cold.
-        Either way the shard remembers the dataset's engine as the
-        layout's new warm source.
+        Either way the worker keeps the dataset's engine as its new warm
+        source.
         """
-        layout = layout_key(case.dataset)
-        cached = state.engines.get(layout)
+        cached = worker.engine
         if cached is not None and cached.compatible_with(case.dataset):
             engine = cached.warm_clone(case.dataset)
             outcome = "warm"
         else:
             engine = engine_for(case.dataset, backend=self.config.backend)
             outcome = "cold"
-        state.engines[layout] = engine
+        worker.engine = engine
         if _trace.ACTIVE:
             obs.inc("fleet_engine_builds_total", outcome=outcome)
 
@@ -307,12 +433,14 @@ class FleetSupervisor:
     def _item_k(self, item: FleetItem) -> Optional[int]:
         return item.k if item.k is not None else self._case_k(item.case)
 
-    def _execute(self, shard_id: int, batch: List[FleetItem]) -> None:
-        """Run one acquired micro-batch; a raise here kills the shard."""
-        state = self._state_for(shard_id)
-        supports_batch = len(batch) > 1 and hasattr(self.method, "run_batch")
-        with obs.span("fleet.shard_batch", shard=shard_id, cases=len(batch)):
-            if supports_batch:
+    def _fused(self, batch: List[FleetItem]) -> bool:
+        """True when *batch* runs as one case-stacked ``run_batch`` call."""
+        return len(batch) > 1 and hasattr(self.method, "run_batch")
+
+    def _execute(self, worker: _Worker, batch: List[FleetItem]) -> None:
+        """Run one taken micro-batch; a raise here is a worker crash."""
+        with obs.span("fleet.shard_batch", shard=worker.worker_id, cases=len(batch)):
+            if self._fused(batch):
                 start = time.perf_counter()
                 results = self.method.run_batch(
                     [item.case.dataset for item in batch], k=None
@@ -323,21 +451,23 @@ class FleetSupervisor:
                     predicted = (
                         result.patterns if case_k is None else result.top(case_k)
                     )
-                    self._record(item, shard_id, list(predicted), per_case)
-            else:
-                for item in batch:
-                    self._engine_ready(state, item.case)
-                    if item.deadline_ms is not None and "budget" in self._runner_params:
-                        self._execute_budgeted(item, shard_id)
-                    else:
-                        predicted, seconds = time_localization(
-                            self.method.localize,
-                            item.case.dataset,
-                            self._item_k(item),
-                        )
-                        self._record(item, shard_id, list(predicted), seconds)
+                    self._record(item, worker, list(predicted), per_case)
+                return
+            if len(batch) > 1 and _trace.ACTIVE:
+                obs.inc("stacked_fallback_cases_total", len(batch))
+            for item in batch:
+                self._engine_ready(worker, item.case)
+                if item.deadline_ms is not None and "budget" in self._runner_params:
+                    self._execute_budgeted(item, worker)
+                else:
+                    predicted, seconds = time_localization(
+                        self.method.localize,
+                        item.case.dataset,
+                        self._item_k(item),
+                    )
+                    self._record(item, worker, list(predicted), seconds)
 
-    def _execute_budgeted(self, item: FleetItem, shard_id: int) -> None:
+    def _execute_budgeted(self, item: FleetItem, worker: _Worker) -> None:
         """Run one deadline-carrying item through the method's ``run``.
 
         The per-item :class:`~repro.resilience.budget.Budget` starts
@@ -358,59 +488,60 @@ class FleetSupervisor:
         stats = getattr(result, "stats", None)
         self._record(
             item,
-            shard_id,
+            worker,
             list(result.patterns),
             seconds,
             stop_reason=getattr(stats, "stop_reason", None),
             tier=getattr(stats, "degradation_tier", None),
         )
 
-    def _run_guarded(self, shard_id: int, batch: List[FleetItem]) -> None:
-        """:meth:`_execute` with the crash-requeue-once protocol."""
-        try:
-            self._execute(shard_id, batch)
-        except BaseException as exc:
-            # Rows recorded before the raise stand; only the unfinished
-            # part of the micro-batch goes through the crash protocol.
-            with self._lock:
-                unfinished = [i for i in batch if i.seq not in self._rows]
-            # The per-case loop runs in order, so the first unfinished
-            # item is the one that was executing when the shard died —
-            # the only one charged a retry attempt.  The tail never
-            # started and keeps its budget: a case must not degrade to
-            # an error row because it was queued behind a poison pill.
-            # A fused run_batch crash cannot be attributed to one case,
-            # so there every batch member is charged.
-            if not (len(batch) > 1 and hasattr(self.method, "run_batch")):
-                for innocent in unfinished[1:]:
-                    innocent.attempts -= 1
-            self._crash(shard_id, unfinished, exc)
+    def _run_guarded(self, worker: _Worker, batch: List[FleetItem]) -> None:
+        """:meth:`_execute` with the crash-requeue-once protocol.
 
-    def _crash(
-        self, shard_id: int, inflight: List[FleetItem], exc: BaseException
-    ) -> None:
-        """Kill a shard; requeue its work once, then degrade to errors."""
-        with self._lock:
-            self._crashes += 1
-        if _trace.ACTIVE:
-            obs.inc("fleet_crashes_total")
-        drained = self.scheduler.kill(shard_id)
-        for item in inflight + drained:
-            if item.attempts >= 2:
-                self._record_error(item, exc)
-                continue
-            with self._lock:
-                self._requeues += 1
+        Rows recorded before the raise stand.  The per-case loop runs in
+        order, so the first unfinished item is the one that was running
+        when the worker crashed — the only one charged an attempt and
+        requeued.  The rest of the micro-batch never started: it goes
+        back to the head of the FIFO with its attempt refunded, so a case
+        never degrades to an error row for queueing behind a poison pill.
+        A fused ``run_batch`` crash cannot be pinned on one case, so
+        there every unfinished member is charged and requeued.
+        """
+        try:
+            self._execute(worker, batch)
+        except BaseException as exc:
+            # BaseException too: a SystemExit or CancelledError escaping a
+            # localizer must still requeue or record its case, or drain()
+            # would wait forever on a row that never comes.
+            # The engine may be half-built; the next case starts cold.
+            worker.engine = None
             if _trace.ACTIVE:
-                obs.inc("fleet_requeues_total")
-            self._dispatch(item)
+                obs.inc("fleet_crashes_total")
+            errors = []
+            with self._lock:
+                self._crashes += 1
+                unfinished = [i for i in batch if i.seq not in self._rows]
+                crashed = unfinished if self._fused(batch) else unfinished[:1]
+                for item in reversed(unfinished[len(crashed):]):
+                    item.attempts -= 1
+                    self._enqueue(item, front=True)
+                for item in crashed:
+                    if item.attempts >= 2:
+                        errors.append(item)
+                        continue
+                    self._requeues += 1
+                    if _trace.ACTIVE:
+                        obs.inc("fleet_requeues_total")
+                    self._enqueue(item)
+            for item in errors:
+                self._record_error(item, exc)
 
     # -- results -----------------------------------------------------------
 
     def _result_row(
         self,
         item: FleetItem,
-        shard_id: Optional[int],
+        worker_id: Optional[int],
         predicted: List,
         seconds: float,
         error: Optional[str],
@@ -426,7 +557,7 @@ class FleetSupervisor:
             seconds,
             case.metadata.get(self.config.group_key),
             item.tenant,
-            shard_id,
+            worker_id,
             error,
             stop_reason,
             tier,
@@ -435,7 +566,7 @@ class FleetSupervisor:
     def _record(
         self,
         item: FleetItem,
-        shard_id: int,
+        worker: _Worker,
         predicted: List,
         seconds: float,
         stop_reason: Optional[str] = None,
@@ -443,7 +574,7 @@ class FleetSupervisor:
     ) -> None:
         self._finish(
             self._result_row(
-                item, shard_id, predicted, seconds, None, stop_reason, tier
+                item, worker.worker_id, predicted, seconds, None, stop_reason, tier
             )
         )
 
@@ -471,22 +602,19 @@ class FleetSupervisor:
                     "error": row[8],
                 },
             )
-        admit = None
         with self._lock:
             self._rows[seq] = row
             self._outstanding -= 1
             waiting = self._overflow.get(tenant)
             if waiting:
-                admit = waiting.popleft()
+                self._enqueue(waiting.popleft())
             else:
                 self._inflight[tenant] = max(0, self._inflight.get(tenant, 1) - 1)
             # Serving-mode workers must survive idle periods: closing on
             # a momentarily empty fleet would retire them between requests.
             drained = self._outstanding == 0 and not self._serving
-        if admit is not None:
-            self._dispatch(admit)
-        elif drained:
-            self.scheduler.close()
+        if drained:
+            self._close()
         callback = self.on_result
         if callback is not None:
             callback(
@@ -505,119 +633,77 @@ class FleetSupervisor:
 
     # -- drive loops -------------------------------------------------------
 
-    def _worker(self, shard_id: int) -> None:
-        while True:
-            batch = self.scheduler.acquire(
-                shard_id, limit=self.config.microbatch, block=True
-            )
-            if not batch:
-                return
-            self._run_guarded(shard_id, batch)
+    def _serve(self, worker: _Worker) -> None:
+        """Thread body: run the worker's FIFO until the fleet closes."""
+        try:
+            while True:
+                batch = self._acquire(worker, block=True)
+                if not batch:
+                    return
+                self._run_guarded(worker, batch)
+        finally:
+            # Normal retirement already cleared the slot inside _acquire;
+            # this only covers an exception escaping the loop.
+            with self._lock:
+                if worker.thread is threading.current_thread():
+                    worker.thread = None
 
-    def _ensure_workers(self) -> None:
-        """Spawn a worker for every alive shard not yet serviced this drain.
-
-        Called at thread-drain start and again from :meth:`_dispatch`,
-        because dispatch can create shard groups mid-drain: a quota
-        overflow item whose layout no admitted case shared only reaches
-        ``scheduler.submit`` (and hence ``_ensure_layout``) when an
-        earlier case completes.  Outside a thread drain this is a no-op.
-        """
+    def _live_threads(self) -> List[threading.Thread]:
         with self._lock:
-            if not self._thread_drain_active:
-                return
-            for shard in self.scheduler.shards:
-                if not shard.alive or shard.shard_id in self._worker_shards:
-                    continue
-                self._worker_shards.add(shard.shard_id)
-                state = self._states.get(shard.shard_id)
-                if state is None:
-                    state = _ShardState(shard_id=shard.shard_id)
-                    self._states[shard.shard_id] = state
-                thread = threading.Thread(
-                    target=self._worker,
-                    args=(shard.shard_id,),
-                    name=f"fleet-shard-{shard.shard_id}",
-                    daemon=True,
-                )
-                state.thread = thread
-                # Started before it is visible to the join loop — a fresh
-                # worker never needs this lock until it holds a batch, so
-                # starting under the lock cannot deadlock.
-                thread.start()
-                self._worker_threads.append(thread)
+            return [w.thread for w in self._workers if w.thread is not None]
 
     def _drain_threads(self) -> None:
         with self._lock:
-            self._thread_drain_active = True
-            self._worker_shards = set()
-            self._worker_threads = []
+            self._spawning = True
+            self._spawn_missing()
         try:
-            self._ensure_workers()
-            # Workers spawned mid-drain (first-seen layouts) append to the
-            # thread list while we join it; loop until no new ones appear.
-            joined = 0
+            # Workers spawned mid-drain (first-seen layouts) join the
+            # list while we wait; loop until every thread has retired.
             while True:
-                with self._lock:
-                    threads = list(self._worker_threads)
-                if joined == len(threads):
+                threads = self._live_threads()
+                if not threads:
                     return
-                for thread in threads[joined:]:
+                for thread in threads:
                     thread.join()
-                joined = len(threads)
         finally:
             with self._lock:
-                self._thread_drain_active = False
+                self._spawning = False
 
     def _drain_inline(self) -> None:
-        """Single-step shards in the calling thread, deterministically.
+        """Single-step workers in the calling thread, deterministically.
 
-        Each step, the ready shards (those :meth:`WorkStealingScheduler.acquire`
-        would serve) are enumerated in id order; ``config.schedule`` (a
-        seeded RNG) or round-robin picks one, which acquires and runs one
-        micro-batch.  The property suite sweeps seeds here to prove output
-        is interleaving-independent.
+        Each step, the workers whose FIFO holds items are enumerated in
+        id order; ``config.schedule`` (a seeded RNG) or round-robin picks
+        one, which takes and runs one micro-batch.  The property suite
+        sweeps seeds here to prove output is interleaving-independent.
         """
         rng = self.config.schedule
         cursor = 0
         while True:
             with self._lock:
                 if self._outstanding == 0:
-                    self.scheduler.close()
                     return
-            ready = [
-                sid
-                for sid in self.scheduler.alive_shards()
-                if self.scheduler.has_work(sid)
-            ]
-            if not ready:
-                # outstanding > 0 but nothing queued: every remaining item
-                # is un-runnable (dead layout) and was already degraded.
-                self.scheduler.close()
+                ready = [w for w in self._workers if self._queues[w.layout].items]
+            if not ready:  # pragma: no cover - every admitted item is queued
                 return
             if rng is not None:
-                shard_id = rng.choice(ready)
+                worker = rng.choice(ready)
             else:
-                shard_id = ready[cursor % len(ready)]
+                worker = ready[cursor % len(ready)]
                 cursor += 1
-            batch = self.scheduler.acquire(shard_id, limit=self.config.microbatch)
+            batch = self._acquire(worker, block=False)
             if batch:
-                self._run_guarded(shard_id, batch)
+                self._run_guarded(worker, batch)
 
     def drain(self) -> MethodEvaluation:
         """Run every submitted case to completion and return the results.
 
         Output rows are ordered by submission sequence id — the serial
-        order — regardless of which shard ran what.
+        order — regardless of which worker ran what.
         """
-        with obs.span(
-            "fleet.drain",
-            cases=self._next_seq,
-            mode=self.config.mode,
-            steal=self.config.steal,
-        ):
-            self.scheduler.reopen()
+        with obs.span("fleet.drain", cases=self._next_seq, mode=self.config.mode):
             with self._lock:
+                self._closed = False
                 pending = self._outstanding > 0
             if pending:
                 if self.config.mode == "thread":
@@ -652,10 +738,12 @@ class FleetSupervisor:
     def start_serving(self) -> None:
         """Switch to continuous mode: workers persist across idle periods.
 
-        In serving mode :meth:`submit` dispatches immediately onto
-        long-lived shard workers (spawned lazily as layouts appear) and
-        each result is delivered through :attr:`on_result` — there is no
-        drain barrier and the scheduler never closes on an empty fleet.
+        In serving mode :meth:`submit` queues immediately onto long-lived
+        worker threads (started lazily as layouts appear) and each result
+        is delivered through :attr:`on_result` — there is no drain
+        barrier and the FIFOs never close on an empty fleet.  A worker
+        still finishing a case from before the last :meth:`stop_serving`
+        keeps its slot and serves on; no second thread joins it.
         :meth:`drain` must not be used while serving; the two drive modes
         are exclusive.  Thread mode only.
         """
@@ -664,74 +752,71 @@ class FleetSupervisor:
         with self._lock:
             if self._serving:
                 return
-            if self._thread_drain_active:
+            if self._spawning:
                 raise RuntimeError("cannot start serving during an active drain")
             self._serving = True
-            self._thread_drain_active = True
-            self._worker_shards = set()
-            self._worker_threads = []
-        self.scheduler.reopen()
-        self._ensure_workers()
+            self._spawning = True
+            self._closed = False
+            self._spawn_missing()
 
     def stop_serving(self, timeout: Optional[float] = None) -> None:
         """Finish queued work, retire the workers, and leave serving mode.
 
-        Closing the scheduler lets every worker run its queue dry (queued
-        items are still served after close; only an *empty* blocked wait
-        returns) and exit.  Idempotent; safe to call with requests still
-        in flight — their results are delivered before the workers stop.
+        Closing the FIFOs lets every worker run its queue dry (queued
+        items are still served after close; only an *empty* FIFO retires
+        a worker).  ``timeout`` bounds the whole call, not each join; a
+        worker still busy at the deadline keeps its slot, so a later
+        :meth:`start_serving` neither loses nor duplicates it.
+        Idempotent; safe to call with requests still in flight — their
+        results are delivered before the workers stop.
         """
         with self._lock:
             if not self._serving:
                 return
             self._serving = False
-        self.scheduler.close()
+            self._spawning = False
+        self._close()
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._lock:
-                threads = list(self._worker_threads)
-                remaining = [t for t in threads if t.is_alive()]
-            if not remaining:
-                break
-            for thread in remaining:
-                thread.join(timeout=timeout)
-                if timeout is not None and thread.is_alive():
-                    break
-            if timeout is not None:
-                break
-        with self._lock:
-            self._thread_drain_active = False
-            self._worker_shards = set()
-            self._worker_threads = []
+            threads = self._live_threads()
+            if not threads:
+                return
+            for thread in threads:
+                if deadline is None:
+                    thread.join()
+                    continue
+                thread.join(max(0.0, deadline - time.monotonic()))
+                if thread.is_alive():
+                    return
 
     # -- warm start --------------------------------------------------------
 
     def warm_start(self, store: FleetStore) -> int:
-        """Prime shard engines from a store's last case per tenant.
+        """Prime worker engines from a store's last case per tenant.
 
-        Replays each tenant's newest persisted case on its home shard —
-        building the engine and running one localization to populate the
-        code-derived caches — so the next drain's compatible cases take
-        the ``warm`` build path instead of cold aggregation.  Returns the
-        number of tenants primed.  Build counters attribute these runs to
-        ``outcome="warmstart"``, keeping the serving-path ``cold`` count
-        honest.
+        Replays each tenant's newest persisted case once per worker of
+        its layout — each worker gets its own engine, built and run once
+        to populate the code-derived caches — so the next drain's
+        compatible cases take the ``warm`` build path instead of cold
+        aggregation.  Returns the number of tenants primed.  Build
+        counters attribute these runs to ``outcome="warmstart"``, keeping
+        the serving-path ``cold`` count honest.  Call it before
+        :meth:`drain` or :meth:`start_serving`; nothing is queued, so
+        already submitted cases are untouched.
         """
         primed = 0
         for tenant, (__, case) in sorted(store.last_cases().items()):
-            layout = layout_key(case.dataset)
-            # Resolve the tenant's home shard without touching the queues:
-            # warm_start may run after real cases were submitted, and a
-            # queued priming item acquired back would pop a pending case.
-            shard_id = self.scheduler.home_shard(layout, tenant)
-            if shard_id is None:
-                continue
-            state = self._state_for(shard_id)
-            engine = engine_for(case.dataset, backend=self.config.backend)
-            self.method.localize(case.dataset, self._case_k(case))
-            state.engines[layout] = engine
+            with self._lock:
+                workers = list(self._queue_for(layout_key(case.dataset)).workers)
+            for worker in workers:
+                engine = install_engine(
+                    AggregationEngine(case.dataset, backend=self.config.backend)
+                )
+                self.method.localize(case.dataset, self._case_k(case))
+                worker.engine = engine
+                if _trace.ACTIVE:
+                    obs.inc("fleet_engine_builds_total", outcome="warmstart")
             primed += 1
-            if _trace.ACTIVE:
-                obs.inc("fleet_engine_builds_total", outcome="warmstart")
         if _trace.ACTIVE and primed:
             obs.inc("fleet_warm_starts_total", primed)
         return primed

@@ -22,13 +22,16 @@ Selection precedence (first match wins):
 A native request that cannot be satisfied — no compiler, failed
 compile, corrupt cache that will not rebuild — **never raises**: the
 registry emits a single :class:`RuntimeWarning` per process, bumps
-``engine_backend_fallback_total{reason}``, records the event in
-:data:`FALLBACK_EVENTS` and hands back the numpy backend.
+``engine_backend_fallback_total{reason}`` and records the event in
+:data:`FALLBACK_EVENTS` once per requested name, and hands back the
+numpy backend.  The registry resolves under one lock, so concurrent
+first resolutions load the library once.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -54,8 +57,8 @@ __all__ = [
 #: Valid values for ``backend=`` knobs and ``RAPMINER_BACKEND``.
 BACKEND_NAMES: Tuple[str, ...] = ("auto", "numpy", "native")
 
-#: ``(requested, reason)`` pairs of every native->numpy fallback this
-#: process took (at most one warning is issued, but every event is kept).
+#: ``(requested, reason)`` of each native->numpy fallback this process
+#: took, one entry per requested name (at most one warning is issued).
 FALLBACK_EVENTS: List[Tuple[str, str]] = []
 
 
@@ -493,10 +496,16 @@ _native_backend: Optional[NativeBackend] = None
 _native_error: Optional[NativeBuildError] = None
 _default_backend: Optional[KernelBackend] = None
 _fallback_warned = False
+#: Guards every registry global above (re-entrant: the default backend
+#: resolves through :func:`resolve_backend`).
+_REGISTRY_LOCK = threading.RLock()
 
 
 def _load_native() -> NativeBackend:
-    """Load (or reuse) the native backend; raises :class:`NativeBuildError`."""
+    """Load (or reuse) the native backend; raises :class:`NativeBuildError`.
+
+    Callers hold ``_REGISTRY_LOCK``.
+    """
     global _native_backend, _native_error
     if _native_backend is not None:
         return _native_backend
@@ -516,7 +525,10 @@ def _load_native() -> NativeBackend:
 
 
 def _note_fallback(requested: str, error: NativeBuildError) -> None:
+    """Record a failed resolution of *requested*, once per name."""
     global _fallback_warned
+    if any(name == requested for name, __ in FALLBACK_EVENTS):
+        return
     reason = getattr(error, "reason", None) or "build_failed"
     FALLBACK_EVENTS.append((requested, reason))
     obs.inc("engine_backend_fallback_total", reason=reason)
@@ -556,28 +568,37 @@ def resolve_backend(
     name = _normalize(spec)
     if name == "numpy":
         return _NUMPY
-    try:
-        return _load_native()
-    except NativeBuildError as error:
-        if strict:
-            raise
-        _note_fallback(name, error)
-        return _NUMPY
+    loaded = _native_backend
+    if loaded is not None:
+        return loaded
+    with _REGISTRY_LOCK:
+        try:
+            return _load_native()
+        except NativeBuildError as error:
+            if strict:
+                raise
+            _note_fallback(name, error)
+            return _NUMPY
 
 
 def get_default_backend() -> KernelBackend:
     """The process-default backend, resolved once on first use."""
     global _default_backend
-    if _default_backend is None:
-        _default_backend = resolve_backend(None)
-    return _default_backend
+    backend = _default_backend
+    if backend is not None:
+        return backend
+    with _REGISTRY_LOCK:
+        if _default_backend is None:
+            _default_backend = resolve_backend(None)
+        return _default_backend
 
 
 def set_default_backend(spec: Optional[str]) -> KernelBackend:
     """Pin the process-default backend (``None`` re-reads the environment)."""
     global _default_backend
-    _default_backend = resolve_backend(spec)
-    return _default_backend
+    with _REGISTRY_LOCK:
+        _default_backend = resolve_backend(spec)
+        return _default_backend
 
 
 def coerce_backend(
@@ -599,8 +620,9 @@ def backend_info(backend: Optional[KernelBackend] = None) -> Dict[str, object]:
 def _reset_registry_for_tests() -> None:
     """Forget every cached resolution (tests monkeypatching the loader)."""
     global _native_backend, _native_error, _default_backend, _fallback_warned
-    _native_backend = None
-    _native_error = None
-    _default_backend = None
-    _fallback_warned = False
-    FALLBACK_EVENTS.clear()
+    with _REGISTRY_LOCK:
+        _native_backend = None
+        _native_error = None
+        _default_backend = None
+        _fallback_warned = False
+        FALLBACK_EVENTS.clear()

@@ -80,12 +80,6 @@ METRIC_HELP: Dict[str, str] = {
     # -- localization service ----------------------------------------------
     "service_intervals_total": "Collection intervals observed by the service",
     "service_incidents_total": "Intervals that raised an incident report",
-    # -- batch execution layer ---------------------------------------------
-    "parallel_shards_total": "Case shards dispatched to pool workers",
-    "parallel_cases_total": "Cases executed through the batch layer by transport",
-    "parallel_warm_engines_total": "Worker-side engine adoptions by outcome",
-    "parallel_merge_snapshots_total": "Worker metric snapshots merged into the parent",
-    "parallel_merge_conflicts_total": "Snapshot entries resolved first-writer-wins on a family conflict",
     # -- SLO tracking ------------------------------------------------------
     "slo_objective_target": "Configured good-tick target fraction of the objective",
     "slo_ticks_total": "Ticks classified against an SLO objective by outcome",
@@ -105,20 +99,14 @@ METRIC_HELP: Dict[str, str] = {
     "resilience_fallback_total": "Pipeline stages served by their degraded fallback",
     "resilience_malformed_inputs_total": "Sanitized inputs by kind (nan lanes, wrong length, bad forecast)",
     "resilience_stop_reason_total": "Incident reports by search stop reason and degradation tier",
-    "resilience_shard_requeues_total": "Pool shards requeued after a worker fault",
-    "resilience_case_errors_total": "Cases degraded to error records after a shard failed twice",
-    "resilience_requeue_seconds": "Fault-to-finish latency of requeued shards (histogram)",
-    "parallel_shm_orphans_total": "Shared-memory blocks reaped by the orphan guard instead of destroy()",
     # -- serving fleet -----------------------------------------------------
     "fleet_cases_total": "Cases submitted to the fleet supervisor",
-    "fleet_queue_depth": "Queued cases per shard (gauge, labelled by shard id)",
-    "fleet_steals_total": "Steal operations performed by idle shards",
-    "fleet_stolen_cases_total": "Cases moved between shard queues by stealing",
+    "fleet_queue_depth": "Queued cases per layout FIFO (gauge, labelled by layout)",
     "fleet_quota_deferrals_total": "Submissions parked in the overflow deque by the tenant quota",
-    "fleet_engine_builds_total": "Shard engine builds by outcome (warm, cold, warmstart)",
+    "fleet_engine_builds_total": "Worker engine builds by outcome (warm, cold, warmstart)",
     "fleet_warm_starts_total": "Tenants primed from the store after a restart",
-    "fleet_crashes_total": "Shard workers killed by an escaping exception",
-    "fleet_requeues_total": "Crashed-shard cases requeued onto surviving shards",
+    "fleet_crashes_total": "Worker runs ended by an escaping exception",
+    "fleet_requeues_total": "Crashed cases requeued once onto their layout FIFO",
     "fleet_errors_total": "Cases degraded to error records by the fleet crash protocol",
     "fleet_store_records_total": "Records appended to the fleet segment log by kind",
     "fleet_store_bytes_total": "Bytes appended to the fleet segment log",
@@ -358,99 +346,6 @@ class MetricRegistry:
                 raise TypeError(f"metric {name!r} is a {metric.kind}, not a scalar")
             total += metric.value
         return total
-
-    # -- cross-process folding ---------------------------------------------
-
-    def snapshot(self) -> List[Dict]:
-        """Picklable value dump of every series, in registration order.
-
-        The snapshot carries plain Python types only (no locks, no metric
-        objects), so a pool worker can return it through the task channel
-        for the parent to fold back with :meth:`merge`.  Histograms dump
-        their raw per-bucket counts (not the cumulative view) so merges
-        are a plain element-wise addition.
-        """
-        entries: List[Dict] = []
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            entry: Dict = {
-                "kind": metric.kind,
-                "name": metric.name,
-                "labels": dict(metric.labels),
-                "help": metric.help,
-            }
-            if isinstance(metric, Histogram):
-                with metric._lock:
-                    entry["bounds"] = list(metric.bounds)
-                    entry["bucket_counts"] = list(metric._bucket_counts)
-                    entry["count"] = metric._count
-                    entry["sum"] = metric._sum
-            else:
-                entry["value"] = metric.value  # Counter or Gauge
-            entries.append(entry)
-        return entries
-
-    def merge(self, snapshot: Sequence[Dict]) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Counters and histograms accumulate (their series are sums of
-        per-process work); gauges are last-write-wins, matching their
-        single-process semantics.  Series that do not exist here yet are
-        created with the snapshot's help text.  A histogram series can
-        only merge into one with identical bucket bounds.
-
-        Family conflicts resolve **first-writer-wins** and are counted
-        under ``parallel_merge_conflicts_total{reason=...}`` rather than
-        raised — a worker fleet with one misregistered family must not
-        take down the parent's whole merge:
-
-        * ``reason="kind"`` — the snapshot's kind differs from the family
-          already registered here; the entry is dropped.
-        * ``reason="help"`` — the snapshot's help text differs; the
-          entry's values merge under the already-registered help.
-        """
-        for entry in snapshot:
-            kind = entry["kind"]
-            name = entry["name"]
-            labels = entry.get("labels") or None
-            help_text = entry.get("help")
-            with self._lock:
-                known_kind = self._kinds.get(name)
-                known_help = self._family_help.get(name)
-            if known_kind is not None and known_kind != kind:
-                self.counter(
-                    "parallel_merge_conflicts_total", {"reason": "kind"}
-                ).inc()
-                continue
-            if (
-                known_help is not None
-                and help_text is not None
-                and help_text != known_help
-            ):
-                self.counter(
-                    "parallel_merge_conflicts_total", {"reason": "help"}
-                ).inc()
-                help_text = known_help
-            if kind == "counter":
-                self.counter(name, labels, help_text).inc(entry["value"])
-            elif kind == "gauge":
-                self.gauge(name, labels, help_text).set(entry["value"])
-            elif kind == "histogram":
-                bounds = tuple(float(b) for b in entry["bounds"])
-                histogram = self.histogram(name, labels, help_text, buckets=bounds)
-                if histogram.bounds != bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds {histogram.bounds} "
-                        f"do not match the snapshot's {bounds}"
-                    )
-                with histogram._lock:
-                    for index, count in enumerate(entry["bucket_counts"]):
-                        histogram._bucket_counts[index] += count
-                    histogram._count += entry["count"]
-                    histogram._sum += entry["sum"]
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in snapshot")
 
     def as_flat_dict(self) -> Dict[str, float]:
         """Scalar series flattened to ``name{k="v",...} -> value``."""

@@ -11,7 +11,7 @@ detectors misbehave, or a case blows its latency budget:
   (delta -> full -> vectorized -> serial -> layer_capped) with the
   chosen tier recorded on every result;
 * :mod:`~repro.resilience.breaker` — retry/backoff and three-state
-  circuit breakers around pluggable pipeline stages and pool workers;
+  circuit breakers around pluggable pipeline stages;
 * :mod:`~repro.resilience.chaos` — the deterministic fault-injection
   harness behind ``tests/resilience/`` and ``make chaos`` (import it
   explicitly; it pulls in the detection stack).

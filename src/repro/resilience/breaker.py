@@ -1,12 +1,11 @@
 """Retry-with-backoff and circuit breakers for pluggable stages.
 
 The service pipeline calls user-supplied forecasters and detectors every
-interval; the batch layer dispatches shards to pool workers.  Both are
-exactly the call sites where a transient failure should be retried, a
-persistent failure should stop being retried (so a broken detector does
-not add its timeout to every interval), and the caller should fall back
-to a degraded-but-deterministic implementation instead of dropping the
-interval.
+interval.  Those are exactly the call sites where a transient failure
+should be retried, a persistent failure should stop being retried (so a
+broken detector does not add its timeout to every interval), and the
+caller should fall back to a degraded-but-deterministic implementation
+instead of dropping the interval.
 
 :class:`CircuitBreaker` implements the standard three-state machine:
 

@@ -13,8 +13,7 @@ an explicit ``max_layer`` cap at the same depth would have produced
 
 The clock is injectable so tests (and the chaos harness) can drive
 expiry deterministically: :class:`StepClock` advances a fixed amount per
-reading and is picklable, so it survives the process-pool transport of
-:mod:`repro.parallel.batch`.
+reading.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ class StepClock:
     """Deterministic clock: starts at 0.0, advances *step* per reading.
 
     Picklable (plain attributes, no closures), so a budget built on a
-    step clock can cross a process boundary and replay identically in a
-    pool worker.
+    step clock can cross a process boundary and replay identically.
     """
 
     def __init__(self, step: float = 1.0, start: float = 0.0):

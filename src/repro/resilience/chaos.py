@@ -14,8 +14,8 @@ survive, reproducibly under a seed:
   deadline budgets drain mid-interval.
 * **Worker crashes** — :class:`CrashOnceLocalizer` raises on its first
   invocation *per marker file*; the marker lives on disk, so the latch
-  works across process-pool workers: the first shard attempt crashes,
-  the requeued attempt succeeds.  :class:`AlwaysCrashLocalizer` never
+  holds across workers and processes: the first attempt crashes, the
+  requeued attempt succeeds.  :class:`AlwaysCrashLocalizer` never
   recovers, driving the per-case error-record path.
 
 This module is imported explicitly (``from repro.resilience import
@@ -151,16 +151,16 @@ class SlowDetector(Detector):
 
 
 class WorkerCrash(RuntimeError):
-    """The injected crash raised inside a pool worker."""
+    """The injected crash raised inside a fleet worker."""
 
 
 class CrashOnceLocalizer:
-    """Crashes the first shard that runs it, succeeds on the requeue.
+    """Crashes the first worker that runs it, succeeds on the requeue.
 
     The latch is a marker file, so the "already crashed" state survives
-    the process boundary: attempt one (worker A) creates the marker and
-    raises :class:`WorkerCrash`; the requeued attempt (worker B) sees
-    the marker and delegates to the inner localizer.
+    any thread or process boundary: attempt one creates the marker and
+    raises :class:`WorkerCrash`; the requeued attempt sees the marker
+    and delegates to the inner localizer.
     """
 
     name = "CrashOnce"

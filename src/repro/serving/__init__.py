@@ -9,7 +9,7 @@ admission control — bounded queue depth, per-tenant in-flight shares,
 shed-on-overload with typed responses, a degraded band that trades a
 tight per-request deadline for latency under congestion
 (:mod:`repro.serving.admission`) — and executes on the supervisor's
-warm-engine shards.  Accepted full-tier requests return root causes
+warm-engine workers.  Accepted full-tier requests return root causes
 **bit-identical** to an in-process serial run of the same case.
 
 ``docs/serving.md`` is the protocol spec; ``docs/operational.md`` has

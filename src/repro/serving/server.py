@@ -4,7 +4,7 @@
 :class:`~repro.fleet.supervisor.FleetSupervisor`: per-tick KPI snapshot
 requests arrive over HTTP JSON and/or the RPSV binary stream
 (:mod:`repro.serving.protocol`), pass the admission controller
-(:mod:`repro.serving.admission`), run on the fleet's warm shards, and
+(:mod:`repro.serving.admission`), run on the fleet's warm workers, and
 return ranked root-cause sets.  Three design rules hold everything
 together:
 
@@ -19,7 +19,7 @@ together:
   An admitted slot is held until the *fleet* finishes the case, so
   abandoning a request frees nothing early.
 * **The fleet stays bit-exact.**  An accepted request without a
-  deadline runs the exact serial ``localize`` path on a warm shard —
+  deadline runs the exact serial ``localize`` path on a warm worker —
   the response's root causes are bit-identical to an in-process run on
   the same case.  Degradation only ever enters through an explicit
   ``deadline_ms`` (the client's or the degraded tier's).
@@ -298,7 +298,7 @@ class LocalizationServer:
     def _on_result(self, outcome: CaseOutcome) -> None:
         """Fleet worker callback: release the slot, resolve the future.
 
-        Runs on whichever shard thread finished the case.  A result may
+        Runs on whichever worker thread finished the case.  A result may
         land before the submitting handler registered its future (submit
         returns after dispatch); it parks in ``_early`` and the handler
         picks it up.  The admission slot releases *here* — when the work

@@ -190,9 +190,8 @@ class TestCrashes:
             config=FleetConfig(mode="inline"),
         )
         assert len(evaluation.results) == len(cases)
-        # Every case degrades to an error row: the crashing cases carry
-        # the WorkerCrash, and once both shards of the layout are dead
-        # the rest degrade with NoCompatibleShard instead of waiting.
+        # Every case degrades to an error row: each crashes, is requeued
+        # once, crashes again and carries the WorkerCrash.
         assert all(r.error for r in evaluation.results)
         assert any("WorkerCrash" in r.error for r in evaluation.results)
         assert all(r.predicted == [] for r in evaluation.results)

@@ -146,6 +146,71 @@ def test_numpy_spec_never_warns_without_a_compiler(monkeypatch):
     assert FALLBACK_EVENTS == []
 
 
+def _tiny_dataset(schema):
+    from repro.data.dataset import FineGrainedDataset
+
+    rng = np.random.default_rng(3)
+    codes = np.stack(
+        [rng.integers(0, s, size=32) for s in schema.sizes], axis=1
+    ).astype(np.int64)
+    return FineGrainedDataset(
+        schema, codes, rng.random(32), rng.random(32), rng.random(32) < 0.25
+    )
+
+
+def test_failed_resolution_is_recorded_once_not_per_engine(
+    monkeypatch, four_attr_schema
+):
+    from repro.core.engine import AggregationEngine
+
+    def no_library():
+        raise NativeBuildError("no compiler on this host", reason="no_compiler")
+
+    monkeypatch.setattr(backend_module, "load_library", no_library)
+    dataset = _tiny_dataset(four_attr_schema)
+    with obs.capture() as collector:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for __ in range(1000):
+                engine = AggregationEngine(dataset, backend="native")
+                assert engine.backend.name == "numpy"
+    assert len(FALLBACK_EVENTS) == 1
+    assert collector.metrics.value(
+        "engine_backend_fallback_total", {"reason": "no_compiler"}
+    ) == 1.0
+
+
+def test_concurrent_first_resolutions_load_the_library_once(monkeypatch):
+    import threading
+    import time
+
+    calls = []
+    gate = threading.Barrier(8)
+
+    def counting_loader():
+        calls.append(threading.get_ident())
+        time.sleep(0.02)  # widen the window an unguarded registry races in
+        raise NativeBuildError("no compiler on this host", reason="no_compiler")
+
+    monkeypatch.setattr(backend_module, "load_library", counting_loader)
+    resolved = []
+
+    def resolve():
+        gate.wait()
+        resolved.append(resolve_backend("native").name)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        threads = [threading.Thread(target=resolve) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert len(calls) == 1
+    assert resolved == ["numpy"] * 8
+    assert FALLBACK_EVENTS == [("native", "no_compiler")]
+
+
 # -- build cache -------------------------------------------------------------
 
 

@@ -112,134 +112,6 @@ class TestRunIsolation:
         assert inner.metrics.value("service_intervals_total") == 5.0
 
 
-class TestSnapshotMerge:
-    def _worker_registry(self):
-        registry = MetricRegistry()
-        registry.counter("requests_total", {"path": "hit"}).inc(5)
-        registry.counter("requests_total", {"path": "miss"}).inc(2)
-        registry.gauge("depth").set(7)
-        registry.histogram("latency_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        registry.histogram("latency_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        return registry
-
-    def test_snapshot_is_plain_data(self):
-        import pickle
-
-        snapshot = self._worker_registry().snapshot()
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-        kinds = {entry["kind"] for entry in snapshot}
-        assert kinds == {"counter", "gauge", "histogram"}
-
-    def test_merge_accumulates_counters_and_histograms(self):
-        parent = self._worker_registry()
-        parent.merge(self._worker_registry().snapshot())
-        assert parent.value("requests_total", {"path": "hit"}) == 10.0
-        assert parent.value("requests_total", {"path": "miss"}) == 4.0
-        assert parent.family_total("requests_total") == 14.0
-        histogram = parent.get("latency_seconds")
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(1.1)
-        assert histogram.cumulative_buckets() == [(0.1, 2), (1.0, 4)]
-
-    def test_merge_into_empty_registry_creates_series(self):
-        parent = MetricRegistry()
-        snapshot = self._worker_registry().snapshot()
-        parent.merge(snapshot)
-        assert parent.snapshot() == snapshot
-
-    def test_gauge_merge_is_last_write(self):
-        parent = MetricRegistry()
-        parent.gauge("depth").set(3)
-        worker = MetricRegistry()
-        worker.gauge("depth").set(9)
-        parent.merge(worker.snapshot())
-        assert parent.value("depth") == 9.0
-
-    def test_merge_preserves_help_text(self):
-        worker = MetricRegistry()
-        worker.counter("engine_aggregate_total", {"path": "cold"}).inc()
-        parent = MetricRegistry()
-        parent.merge(worker.snapshot())
-        merged = parent.get("engine_aggregate_total", {"path": "cold"})
-        assert merged.help == METRIC_HELP["engine_aggregate_total"]
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        worker = MetricRegistry()
-        worker.histogram("latency_seconds", buckets=(0.1, 1.0)).observe(0.2)
-        parent = MetricRegistry()
-        parent.histogram("latency_seconds", buckets=(0.5, 2.0)).observe(0.2)
-        with pytest.raises(ValueError):
-            parent.merge(worker.snapshot())
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            MetricRegistry().merge([{"kind": "summary", "name": "x", "value": 1.0}])
-
-
-class TestMergeConflicts:
-    """Family conflicts resolve first-writer-wins, counted — never raised."""
-
-    def test_kind_conflict_drops_entry_and_counts(self):
-        parent = MetricRegistry()
-        parent.counter("thing_total").inc(3)
-        worker = MetricRegistry()
-        worker.gauge("thing_total").set(9)  # misregistered in the worker
-        parent.merge(worker.snapshot())
-        # First writer (the counter) wins; the gauge entry is dropped whole.
-        assert parent.value("thing_total") == 3.0
-        assert parent._kinds["thing_total"] == "counter"
-        assert (
-            parent.value("parallel_merge_conflicts_total", {"reason": "kind"}) == 1.0
-        )
-
-    def test_help_conflict_merges_values_under_first_help(self):
-        parent = MetricRegistry()
-        parent.counter("thing_total", help_text="the real help").inc(1)
-        worker = MetricRegistry()
-        worker.counter(
-            "thing_total", {"path": "warm"}, help_text="a drifted help"
-        ).inc(5)
-        parent.merge(worker.snapshot())
-        # Values survive the conflict; help stays the first writer's.
-        assert parent.value("thing_total", {"path": "warm"}) == 5.0
-        assert parent.get("thing_total", {"path": "warm"}).help == "the real help"
-        assert (
-            parent.value("parallel_merge_conflicts_total", {"reason": "help"}) == 1.0
-        )
-
-    def test_conflicting_family_renders_one_help_line(self):
-        from repro.obs.export import prometheus_text
-
-        parent = MetricRegistry()
-        parent.counter("thing_total", help_text="the real help").inc()
-        worker = MetricRegistry()
-        worker.counter("thing_total", {"path": "x"}, help_text="drifted").inc()
-        parent.merge(worker.snapshot())
-        text = prometheus_text(parent)
-        assert text.count("# HELP thing_total") == 1
-        assert "# HELP thing_total the real help" in text
-        assert "drifted" not in text
-
-    def test_matching_families_merge_without_conflict_counts(self):
-        parent = MetricRegistry()
-        parent.counter("engine_aggregate_total").inc()
-        parent.merge(parent.snapshot())
-        assert parent.get("parallel_merge_conflicts_total", {"reason": "kind"}) is None
-        assert parent.get("parallel_merge_conflicts_total", {"reason": "help"}) is None
-
-    def test_conflicts_accumulate_across_merges(self):
-        parent = MetricRegistry()
-        parent.counter("thing_total").inc()
-        worker = MetricRegistry()
-        worker.gauge("thing_total").set(1)
-        snapshot = worker.snapshot()
-        parent.merge(snapshot)
-        parent.merge(snapshot)
-        assert (
-            parent.value("parallel_merge_conflicts_total", {"reason": "kind"}) == 2.0
-        )
-
-
 class TestFamilyHelp:
     def test_first_registration_pins_family_help(self):
         registry = MetricRegistry()

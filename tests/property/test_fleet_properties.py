@@ -76,7 +76,6 @@ def fleet_setups(draw):
         mode="inline",
         k_from_truth=True,
         shards_per_layout=draw(st.integers(1, 3)),
-        steal=draw(st.booleans()),
         microbatch=draw(st.integers(1, 3)),
         tenant_quota=draw(st.integers(1, 8)),
         schedule=random.Random(draw(st.integers(0, 2**32 - 1))),

@@ -14,7 +14,8 @@ from repro.core.config import RAPMinerConfig
 from repro.core.miner import RAPMiner
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema, schema_from_sizes
-from repro.parallel import BatchConfig, batch_localize
+from repro.experiments.runner import run_cases
+from repro.fleet import FleetConfig, fleet_localize
 from repro.resilience import Budget, StepClock
 from tests.conftest import make_labelled_dataset
 
@@ -126,7 +127,7 @@ class TestDeadlineEqualsLayerCap:
             assert got.stats.deepest_layer_visited == 2
             assert candidate_keys(got) == candidate_keys(want)
 
-    def test_pooled_partial_equals_explicit_cap(self):
+    def test_fleet_partial_equals_explicit_cap(self):
         cases = generate_rapmd(
             cdn_schema(4, 2, 2, 3), RAPMDConfig(n_cases=4, n_days=2, seed=9)
         )
@@ -134,17 +135,14 @@ class TestDeadlineEqualsLayerCap:
             deep_config(deadline_ms=2500.0, deadline_clock=StepClock(step=1.0))
         )
         capped_method = RAPMiner(deep_config(max_layer=2))
-        pooled = batch_localize(
-            deadline_method, cases, k=3, config=BatchConfig(n_workers=2)
-        )
-        capped = batch_localize(
-            capped_method, cases, k=3, config=BatchConfig(n_workers=2)
-        )
-        serial_capped = batch_localize(capped_method, cases, k=3)
-        assert [r.predicted for r in pooled.results] == [
+        config = FleetConfig(mode="inline", k=3)
+        fleet = fleet_localize(deadline_method, cases, config=config)
+        capped = fleet_localize(capped_method, cases, config=config)
+        serial_capped = run_cases(capped_method, cases, k=3)
+        assert [r.predicted for r in fleet.results] == [
             r.predicted for r in capped.results
         ]
-        assert [r.predicted for r in pooled.results] == [
+        assert [r.predicted for r in fleet.results] == [
             r.predicted for r in serial_capped.results
         ]
 
