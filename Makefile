@@ -36,12 +36,13 @@ kernels-check:
 fleet-check:
 	pytest tests/fleet/ tests/property/test_fleet_properties.py -p no:cacheprovider
 
-# Serving gate (tier-1): protocol/admission/server suites plus the
-# end-to-end smoke — boot `repro serve` in a child process, submit cases
-# over HTTP and binary frames, assert bit-identical answers vs an
-# in-process run, scrape /metrics off the same port, SIGINT-drain clean.
+# Serving gate (tier-1): protocol/admission/server suites, the request
+# codec's case columns (data/io.py) and the end-to-end smoke — boot
+# `repro serve` in a child process, submit cases over HTTP and binary
+# frames, assert bit-identical answers vs an in-process run, scrape
+# /metrics off the same port, SIGINT-drain clean.
 serve-smoke:
-	pytest tests/serving/ tests/property/test_serving_properties.py -p no:cacheprovider
+	pytest tests/serving/ tests/property/test_serving_properties.py tests/data/test_io.py tests/property/test_data_properties.py -p no:cacheprovider
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -80,17 +80,20 @@ __all__ = [
     "CandidateIndex",
     "engine_for",
     "install_engine",
+    "release_engine",
 ]
 
 
 #: Attribute under which :func:`engine_for` caches the engine on its
 #: dataset.  Storing the cache on the dataset (rather than in a global
 #: ``WeakKeyDictionary`` whose values reference their keys, which makes
-#: every entry immortal) means the engine dies exactly when the dataset
-#: does — the dataset <-> engine cycle is an ordinary gc-collectable
-#: cycle, and per-interval tables do not accumulate engine state.
-#: ``FineGrainedDataset.__getstate__`` drops the attribute, so pickled
-#: datasets never carry a cache.
+#: every entry immortal) means the engine dies with the dataset.  The two
+#: form a reference cycle: left alone, only the cyclic collector frees
+#: it.  A long-running owner that retires engines at a steady rate
+#: breaks the cycle itself with :func:`release_engine` — the fleet does
+#: so for each worker's previous warm source — so a served case is freed
+#: by reference counting.  ``FineGrainedDataset.__getstate__`` drops the
+#: attribute, so pickled datasets never carry a cache.
 _ENGINE_ATTR = "_repro_engine"
 
 #: Upper bound on the element count of one batched pass; layers whose
@@ -124,6 +127,16 @@ def install_engine(engine: "AggregationEngine") -> "AggregationEngine":
     """Register *engine* as the shared engine of its dataset and return it."""
     setattr(engine.dataset, _ENGINE_ATTR, engine)
     return engine
+
+
+def release_engine(engine: "AggregationEngine") -> None:
+    """Unregister *engine* from its dataset if it is still the shared one.
+
+    Breaks the dataset <-> engine cycle, so both are freed by reference
+    counting once their last outside reference goes.
+    """
+    if getattr(engine.dataset, _ENGINE_ATTR, None) is engine:
+        delattr(engine.dataset, _ENGINE_ATTR)
 
 
 @dataclass

@@ -8,7 +8,18 @@ Two interchange formats are provided:
   produced data can be dropped in.
 * **JSON** for full :class:`~repro.data.injection.LocalizationCase` bundles
   (schema + leaf table + ground-truth RAPs + metadata), used to persist
-  generated benchmarks so experiment runs are replayable byte-for-byte.
+  generated benchmarks so experiment runs are replayable byte-for-byte,
+  and as the ``case`` object of every serving request.  Each leaf-table
+  column (``codes``, ``v``, ``f``, ``labels``) is written *packed*: an
+  object ``{"dtype": ..., "b64": ...}`` holding the base64 of the
+  column's raw little-endian buffer — ``<f8`` for ``v``/``f`` (bit-exact,
+  NaN payloads and ``-0.0`` included), ``|u1`` holding 0/1 for
+  ``labels``, and for ``codes`` (row-major, ``n_rows x n_attributes``)
+  the narrowest of ``|u1``/``<u2``/``<u4`` that holds the schema's
+  largest attribute.  :func:`case_from_dict` also accepts each column as
+  a plain JSON number list (the older form, and the one hand-written
+  request bodies use), and rejects a packed column whose dtype, byte
+  length or label values disagree with the schema and row count.
 * **NPZ** for the same bundles in binary form: the four leaf-table arrays
   are stored as raw numpy buffers (no ``tolist()`` round-trip, no float
   re-parsing) with the non-array fields in an embedded JSON header.  JSON
@@ -19,11 +30,12 @@ Two interchange formats are provided:
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,30 +106,102 @@ def dataset_from_csv(path: PathLike, schema: AttributeSchema) -> FineGrainedData
     return FineGrainedDataset.from_rows(schema, rows, labels)
 
 
+#: Packed dtype of the ``v`` and ``f`` columns.
+_VALUE_DTYPE = "<f8"
+#: Packed dtype of the ``labels`` column (values 0 and 1 only).
+_LABEL_DTYPE = "|u1"
+#: Candidate packed dtypes of the ``codes`` column, narrowest first.
+_CODE_DTYPES = ("|u1", "<u2", "<u4")
+
+
+def _code_dtype(schema: AttributeSchema) -> str:
+    """The narrowest packed ``codes`` dtype holding every code of *schema*."""
+    largest = max(schema.sizes) - 1
+    return next(dtype for dtype in _CODE_DTYPES if largest <= np.iinfo(dtype).max)
+
+
+def _pack(array: np.ndarray, dtype: str) -> Dict[str, str]:
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return {"dtype": dtype, "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def _unpack(
+    data: Dict, key: str, dtype: str, native, per_row: int, n_rows: Optional[int]
+) -> np.ndarray:
+    """Column *key* of a case dict as an owned array of dtype *native*.
+
+    A column that is a JSON object is packed: it must carry exactly
+    ``dtype`` and ``b64``, the dtype the schema calls for, and
+    ``per_row`` items per row — ``n_rows`` rows when that is already
+    known.  Any other column is the list form.
+    """
+    column = data[key]
+    if not isinstance(column, dict):
+        return np.asarray(column, dtype=native)
+    if set(column) != {"dtype", "b64"}:
+        raise ValueError(
+            f"packed column {key!r} needs exactly the keys 'b64' and 'dtype', "
+            f"got {sorted(column)}"
+        )
+    if column["dtype"] != dtype:
+        raise ValueError(
+            f"packed column {key!r} has dtype {column['dtype']!r}; "
+            f"this schema needs {dtype!r}"
+        )
+    if not isinstance(column["b64"], str):
+        raise ValueError(f"packed column {key!r}: 'b64' must be a string")
+    try:
+        raw = base64.b64decode(column["b64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValueError(f"packed column {key!r} is not base64: {exc}") from None
+    row_bytes = per_row * np.dtype(dtype).itemsize
+    rows, rest = divmod(len(raw), row_bytes)
+    if rest or (n_rows is not None and rows != n_rows):
+        wanted = "a whole number of" if n_rows is None else n_rows
+        raise ValueError(
+            f"packed column {key!r} holds {len(raw)} bytes, "
+            f"not {wanted} rows of {row_bytes} bytes"
+        )
+    values = np.frombuffer(raw, dtype=dtype)
+    if key == "labels" and values.size and values.max() > 1:
+        raise ValueError(f"packed column {key!r} holds a value other than 0 or 1")
+    # astype copies: the dataset owns its buffer and the request bytes can go.
+    return values.astype(native)
+
+
 def case_to_dict(case: LocalizationCase) -> Dict:
-    """JSON-ready representation of a localization case."""
+    """JSON-ready representation of a localization case (packed columns)."""
     dataset = case.dataset
     return {
         "case_id": case.case_id,
         "schema": schema_to_dict(dataset.schema),
-        "codes": dataset.codes.tolist(),
-        "v": dataset.v.tolist(),
-        "f": dataset.f.tolist(),
-        "labels": dataset.labels.astype(int).tolist(),
+        "codes": _pack(dataset.codes, _code_dtype(dataset.schema)),
+        "v": _pack(dataset.v, _VALUE_DTYPE),
+        "f": _pack(dataset.f, _VALUE_DTYPE),
+        "labels": _pack(dataset.labels, _LABEL_DTYPE),
         "true_raps": [str(rap) for rap in case.true_raps],
         "metadata": _jsonify(case.metadata),
     }
 
 
 def case_from_dict(data: Dict) -> LocalizationCase:
-    """Inverse of :func:`case_to_dict`."""
+    """Inverse of :func:`case_to_dict`; also reads the list-form columns.
+
+    Raises ``ValueError`` when a packed column has the wrong dtype for
+    the schema, a byte length that does not match the row count, or
+    (``labels``) a value other than 0 or 1.
+    """
     schema = schema_from_dict(data["schema"])
+    width = schema.n_attributes
+    codes = _unpack(data, "codes", _code_dtype(schema), np.int64, width, None)
+    codes = codes.reshape(-1, width)
+    n_rows = len(codes)
     dataset = FineGrainedDataset(
         schema,
-        np.asarray(data["codes"], dtype=np.int64).reshape(-1, schema.n_attributes),
-        np.asarray(data["v"], dtype=float),
-        np.asarray(data["f"], dtype=float),
-        np.asarray(data["labels"], dtype=bool),
+        codes,
+        _unpack(data, "v", _VALUE_DTYPE, np.float64, 1, n_rows),
+        _unpack(data, "f", _VALUE_DTYPE, np.float64, 1, n_rows),
+        _unpack(data, "labels", _LABEL_DTYPE, bool, 1, n_rows),
     )
     raps = tuple(AttributeCombination.parse(text) for text in data["true_raps"])
     return LocalizationCase(

@@ -48,7 +48,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..core.engine import AggregationEngine, engine_for, install_engine
+from ..core.engine import (
+    AggregationEngine,
+    engine_for,
+    install_engine,
+    release_engine,
+)
 from ..data.dataset import FineGrainedDataset
 from ..data.injection import LocalizationCase
 from ..experiments.runner import CaseResult, MethodEvaluation
@@ -414,7 +419,9 @@ class FleetSupervisor:
         A warm clone is only legal over an identical leaf population
         (same schema *and* codes); otherwise the build falls back cold.
         Either way the worker keeps the dataset's engine as its new warm
-        source.
+        source, and the previous source is released from its dataset so
+        that the finished case is freed by reference counting rather
+        than waiting for the cyclic collector.
         """
         cached = worker.engine
         if cached is not None and cached.compatible_with(case.dataset):
@@ -424,6 +431,8 @@ class FleetSupervisor:
             engine = engine_for(case.dataset, backend=self.config.backend)
             outcome = "cold"
         worker.engine = engine
+        if cached is not None and cached is not engine:
+            release_engine(cached)
         if _trace.ACTIVE:
             obs.inc("fleet_engine_builds_total", outcome=outcome)
 

@@ -456,7 +456,11 @@ class LocalizationServer:
     ) -> None:
         """One HTTP/1.1 exchange (``Connection: close`` semantics)."""
         try:
-            await self._http_exchange(reader, writer)
+            try:
+                await self._http_exchange(reader, writer)
+            except ProtocolError as exc:
+                obs.inc("serving_malformed_total", code=exc.code)
+                await self._http_send(writer, error_body(exc.code, exc.message))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -469,19 +473,18 @@ class LocalizationServer:
     async def _http_exchange(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        request_line = await reader.readline()
+        """Read one request head and body, answer it; malformed input raises
+        :class:`ProtocolError`, which :meth:`_serve_http` counts and answers."""
+        request_line = await _read_head_line(reader)
         if not request_line:
             return
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            await self._http_send(
-                writer, error_body("bad_request", "malformed request line")
-            )
-            return
+            raise ProtocolError("bad_request", "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_head_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -520,38 +523,25 @@ class LocalizationServer:
             )
             return
 
-        length_text = headers.get("content-length")
-        if length_text is None or not length_text.isdigit():
-            await self._http_send(
-                writer,
-                error_body("bad_request", "POST /localize requires Content-Length"),
+        length_text = headers.get("content-length", "")
+        # str.isdigit() also accepts digits such as "²" that int() rejects.
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ProtocolError(
+                "bad_request", "POST /localize requires a decimal Content-Length"
             )
-            return
         length = int(length_text)
         if length > self.config.max_payload_bytes:
             # Shed the bytes unread: the declaration alone is the offence.
-            obs.inc("serving_malformed_total", code="oversized_payload")
-            await self._http_send(
-                writer,
-                error_body(
-                    "oversized_payload",
-                    f"body declares {length} bytes "
-                    f"(cap {self.config.max_payload_bytes})",
-                ),
+            raise ProtocolError(
+                "oversized_payload",
+                f"body declares {length} bytes (cap {self.config.max_payload_bytes})",
             )
-            return
         try:
             payload = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
-            obs.inc("serving_malformed_total", code="truncated")
-            await self._http_send(
-                writer,
-                error_body(
-                    "truncated",
-                    f"body ended at {len(exc.partial)}/{length} bytes",
-                ),
+            raise ProtocolError(
+                "truncated", f"body ended at {len(exc.partial)}/{length} bytes"
             )
-            return
         body = await self._localize(payload, protocol="http")
         await self._http_send(writer, body)
 
@@ -632,3 +622,17 @@ class LocalizationServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+async def _read_head_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of an HTTP request head (``b""`` at end of stream).
+
+    A line longer than the stream reader's limit (64 KiB by default) is
+    a ``bad_request``: ``readline`` raises ``ValueError`` on the overrun.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError(
+            "bad_request", "HTTP request head line longer than the stream limit"
+        ) from None

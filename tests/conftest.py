@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.attribute import AttributeCombination, AttributeSchema
 from repro.data.dataset import FineGrainedDataset
+from repro.data.injection import LocalizationCase
+from repro.data.io import case_to_dict
 from repro.data.schema import paper_example_schema, schema_from_sizes
 
 
@@ -52,6 +54,21 @@ def make_labelled_dataset(
     f = dataset.f.copy()
     f[labels] = dataset.v[labels] / 0.6  # Dev = 0.4 for anomalous leaves
     return FineGrainedDataset(schema, dataset.codes, dataset.v, f, labels)
+
+
+def list_form_dict(case: LocalizationCase) -> dict:
+    """:func:`case_to_dict` with every leaf-table column as a number list.
+
+    This is the older wire form, which hand-written request bodies and
+    bundles saved before the columns were packed still use.
+    """
+    data = case_to_dict(case)
+    dataset = case.dataset
+    data["codes"] = dataset.codes.tolist()
+    data["v"] = dataset.v.tolist()
+    data["f"] = dataset.f.tolist()
+    data["labels"] = dataset.labels.astype(int).tolist()
+    return data
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for dataset/case serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from repro.data.io import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.data.schema import paper_example_schema
+from repro.data.schema import cdn_schema, paper_example_schema, schema_from_sizes
+from tests.conftest import list_form_dict
 
 
 @pytest.fixture
@@ -128,6 +131,68 @@ class TestCaseBundles:
         for original, copy in zip(cases, loaded):
             assert original.true_raps == copy.true_raps
             assert np.allclose(original.dataset.f, copy.dataset.f)
+
+
+class TestPackedColumns:
+    def one_row_case(self, sizes, v=(1.0,), f=(1.0,)):
+        schema = schema_from_sizes(sizes)
+        codes = np.array([[size - 1 for size in sizes]] * len(v))
+        dataset = FineGrainedDataset(schema, codes, v, f, [True] * len(v))
+        return LocalizationCase(case_id="packed", dataset=dataset, true_raps=())
+
+    @pytest.mark.parametrize(
+        "sizes, dtype",
+        [
+            ((256, 2), "|u1"),
+            ((2, 257), "<u2"),
+            ((65_536, 2), "<u2"),
+            ((2, 65_537), "<u4"),
+        ],
+    )
+    def test_codes_dtype_is_the_narrowest_for_the_schema(self, sizes, dtype):
+        case = self.one_row_case(sizes)
+        data = case_to_dict(case)
+        assert data["codes"]["dtype"] == dtype
+        assert np.array_equal(case_from_dict(data).dataset.codes, case.dataset.codes)
+
+    def test_paper_schema_packs_codes_in_one_byte(self):
+        data = case_to_dict(self.one_row_case(cdn_schema().sizes))  # 33x4x4x20
+        assert data["codes"]["dtype"] == "|u1"
+        assert {data[c]["dtype"] for c in ("v", "f")} == {"<f8"}
+        assert data["labels"]["dtype"] == "|u1"
+
+    def test_every_float_bit_survives(self):
+        # NaN payloads and signs cannot travel as JSON numbers; packed bytes can.
+        odd = np.array(
+            [0x7FF0000000000001, 0xFFF8000000000000, 0x8000000000000000, 1],
+            dtype=np.uint64,
+        ).view(np.float64)
+        case = self.one_row_case((3, 2), v=odd, f=odd[::-1].copy())
+        rebuilt = case_from_dict(json.loads(json.dumps(case_to_dict(case)))).dataset
+        assert rebuilt.v.tobytes() == case.dataset.v.tobytes()
+        assert rebuilt.f.tobytes() == case.dataset.f.tobytes()
+        # The decoded columns own their memory, not the request's bytes.
+        assert rebuilt.v.flags.writeable and rebuilt.labels.flags.writeable
+
+    def test_list_form_bundle_still_loads_bit_identically(self, tmp_path):
+        from repro.data.rapmd import RAPMDConfig, generate_rapmd
+
+        cases = generate_rapmd(
+            cdn_schema(4, 2, 2, 3), RAPMDConfig(n_cases=2, n_days=2, seed=4)
+        )
+        path = tmp_path / "list-form.json"
+        path.write_text(
+            json.dumps(
+                {"format": "repro.cases.v1", "cases": [list_form_dict(c) for c in cases]}
+            )
+        )
+        for original, copy in zip(cases, load_cases(path)):
+            assert copy.true_raps == original.true_raps
+            for column in ("codes", "v", "f", "labels"):
+                got = getattr(copy.dataset, column)
+                want = getattr(original.dataset, column)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestNpzBundles:

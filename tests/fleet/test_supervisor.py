@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from repro import obs
 from repro.core.config import RAPMinerConfig
+from repro.core.engine import AggregationEngine
 from repro.core.miner import RAPMiner
 from repro.data.dataset import FineGrainedDataset
 from repro.data.injection import LocalizationCase
+from repro.data.io import case_from_dict, case_to_dict
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.experiments.runner import run_cases
@@ -254,6 +257,59 @@ class TestWarmEngines:
         want = run_cases(RAPMiner(), [self._stream(base, "ref")], k_from_truth=True)
         for got in fleet.results:
             assert got.predicted == want.results[0].predicted
+
+
+class TestEngineRelease:
+    """A finished case is freed by reference counting, not the collector."""
+
+    @staticmethod
+    def _bodies(n_cases=48):
+        """Wire bodies of *n_cases* cases; every fourth drops its last leaf
+        so that workers alternate between warm clones and cold builds."""
+        bodies = []
+        for i, case in enumerate(make_cases(n_cases)):
+            if i % 4 == 3:
+                ds = case.dataset
+                case = LocalizationCase(
+                    case_id=case.case_id,
+                    dataset=FineGrainedDataset(
+                        ds.schema, ds.codes[:-1], ds.v[:-1], ds.f[:-1], ds.labels[:-1]
+                    ),
+                    true_raps=case.true_raps,
+                    metadata=case.metadata,
+                )
+            bodies.append(case_to_dict(case))
+        return bodies
+
+    @pytest.mark.parametrize("mode", ["inline", "thread"])
+    def test_only_warm_sources_outlive_their_cases(self, mode):
+        bodies = self._bodies()
+        supervisor = FleetSupervisor(
+            RAPMiner(), config=FleetConfig(mode=mode, k_from_truth=True)
+        )
+        tracked = (AggregationEngine, FineGrainedDataset)
+        gc.collect()
+        gc.disable()
+        try:
+            # Held, so no id of an object alive before the run is reused.
+            before = [o for o in gc.get_objects() if isinstance(o, tracked)]
+            for body in bodies:
+                supervisor.submit(case_from_dict(body))
+            evaluation = supervisor.drain()
+            known = {id(o) for o in before}
+            # gc.get_objects() also lists unreachable cycles not yet collected.
+            survivors = {
+                id(o)
+                for o in gc.get_objects()
+                if isinstance(o, tracked) and id(o) not in known
+            }
+        finally:
+            gc.enable()
+        assert len(evaluation.results) == len(bodies)
+        assert all(r.error is None for r in evaluation.results)
+        warm = [w.engine for w in supervisor._workers if w.engine is not None]
+        assert warm
+        assert survivors == {id(e) for e in warm} | {id(e.dataset) for e in warm}
 
 
 class TestFastPresetSmoke:

@@ -1,5 +1,7 @@
 """Property-based tests on datasets, injection, and serialization."""
 
+import json
+
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.data.injection import InjectionConfig, inject_failures
 from repro.data.io import case_from_dict, case_to_dict
 from repro.data.injection import LocalizationCase
 from repro.data.schema import schema_from_sizes
+from tests.conftest import list_form_dict
 
 
 @st.composite
@@ -129,3 +132,63 @@ def test_case_dict_roundtrip(dataset):
     assert np.array_equal(rebuilt.dataset.labels, dataset.labels)
     assert np.allclose(rebuilt.dataset.v, dataset.v)
     assert np.allclose(rebuilt.dataset.f, dataset.f)
+
+
+#: One schema per packed ``codes`` dtype; the widest attribute decides it.
+CODEC_SCHEMAS = {
+    "|u1": schema_from_sizes([3, 2, 4]),
+    "<u2": schema_from_sizes([300, 2]),
+    "<u4": schema_from_sizes([2, 65_537]),
+}
+
+#: Values a decimal list and a float parser are most likely to disagree on.
+SPECIAL_FLOATS = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    -0.0,
+    0.0,
+    5e-324,  # smallest subnormal
+    -2.5e-310,
+    2.2250738585072014e-308,  # smallest normal
+]
+
+wire_floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_FLOATS))
+
+
+@st.composite
+def codec_cases(draw):
+    dtype = draw(st.sampled_from(sorted(CODEC_SCHEMAS)))
+    schema = CODEC_SCHEMAS[dtype]
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    codes = np.column_stack([rng.integers(0, size, n) for size in schema.sizes])
+    if n:
+        codes[0] = [size - 1 for size in schema.sizes]  # the widest code travels
+    v = draw(st.lists(wire_floats, min_size=n, max_size=n))
+    f = draw(st.lists(wire_floats, min_size=n, max_size=n))
+    dataset = FineGrainedDataset(schema, codes, v, f, rng.random(n) < 0.5)
+    return dtype, LocalizationCase(case_id="codec", dataset=dataset, true_raps=())
+
+
+@given(codec_cases())
+@settings(max_examples=40, deadline=None)
+def test_packed_and_list_columns_decode_bit_identically(drawn):
+    """Both wire forms of one case decode to the same bits as the original."""
+    dtype, case = drawn
+    packed = case_to_dict(case)
+    assert packed["codes"]["dtype"] == dtype
+    original = case.dataset
+    for form in (packed, list_form_dict(case)):
+        decoded = case_from_dict(json.loads(json.dumps(form))).dataset
+        for column in ("v", "f"):
+            got = getattr(decoded, column)
+            assert got.dtype == np.float64
+            assert np.array_equal(
+                got.view(np.int64), getattr(original, column).view(np.int64)
+            )
+        assert decoded.codes.dtype == np.int64
+        assert np.array_equal(decoded.codes, original.codes)
+        assert decoded.labels.dtype == bool
+        assert np.array_equal(decoded.labels, original.labels)
+

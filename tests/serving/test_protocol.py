@@ -10,6 +10,7 @@ from repro.data.io import case_to_dict
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.serving import protocol
+from tests.conftest import list_form_dict
 from repro.serving.protocol import (
     ERROR_CODES,
     FRAME_HEADER,
@@ -114,6 +115,15 @@ class TestParseRequest:
         data["case"]["metadata"]["tenant"] = "from-meta"
         request = parse_request(json.dumps(data).encode())
         assert request.tenant == "from-meta"
+
+    def test_list_form_case_still_parses(self, case):
+        """Hand-written bodies send the columns as plain number lists."""
+        request = parse_request(json.dumps({"case": list_form_dict(case)}).encode())
+        for column in ("codes", "v", "f", "labels"):
+            got = getattr(request.case.dataset, column)
+            want = getattr(case.dataset, column)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_bad_json(self):
         with pytest.raises(ProtocolError) as excinfo:

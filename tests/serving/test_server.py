@@ -9,6 +9,7 @@ waiting for a listener.
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
 import time
@@ -19,6 +20,7 @@ import pytest
 
 from repro import obs
 from repro.core.miner import RAPMiner
+from repro.data.io import case_to_dict
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.obs.server import TelemetryServer
@@ -228,6 +230,31 @@ class TestDeadlines:
             assert server.admission.depth == 0
 
 
+def _edit_bytes(column, edit):
+    """*column* (a packed column object) with its raw bytes edited."""
+    raw = bytearray(base64.b64decode(column["b64"]))
+    edit(raw)
+    return {"dtype": column["dtype"], "b64": base64.b64encode(bytes(raw)).decode()}
+
+
+#: Packed-column defects: each must be a ``bad_case`` that never reaches
+#: the fleet.  Every edit takes and returns a packed case dict.
+MALFORMED_COLUMNS = {
+    "wrong_value_dtype": lambda d: {**d, "v": {**d["v"], "dtype": "<f4"}},
+    "codes_wider_than_schema": lambda d: {**d, "codes": {**d["codes"], "dtype": "<u2"}},
+    "not_base64": lambda d: {**d, "f": {**d["f"], "b64": "*not base64*"}},
+    "partial_row": lambda d: {**d, "v": _edit_bytes(d["v"], lambda raw: raw.pop())},
+    "one_row_short": lambda d: {
+        **d, "f": _edit_bytes(d["f"], lambda raw: raw.__delitem__(slice(-8, None)))
+    },
+    "label_two": lambda d: {
+        **d, "labels": _edit_bytes(d["labels"], lambda raw: raw.__setitem__(0, 2))
+    },
+    "missing_b64": lambda d: {**d, "labels": {"dtype": d["labels"]["dtype"]}},
+    "extra_key": lambda d: {**d, "codes": {**d["codes"], "shape": [1, 4]}},
+}
+
+
 class TestMalformedInput:
     """Garbage off the wire gets a typed error; the server never wedges."""
 
@@ -272,6 +299,60 @@ class TestMalformedInput:
             assert b"truncated" in response
             client = ServingClient("127.0.0.1", server.http_port)
             assert client.localize(cases[0], k=1)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # "\xb2" is latin-1 "²": str.isdigit() accepts it, int() does not.
+            b"POST /localize HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n",
+            # Lines longer than the stream reader's 64 KiB limit.
+            b"POST /localize HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"POST /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["non_ascii_digit_length", "header_over_limit", "request_line_over_limit"],
+    )
+    def test_http_bad_head_is_a_counted_bad_request(self, cases, head):
+        with obs.capture() as collector:
+            with serve() as server:
+                with socket.create_connection(
+                    ("127.0.0.1", server.http_port), timeout=10
+                ) as sock:
+                    sock.sendall(head)
+                    sock.shutdown(socket.SHUT_WR)
+                    chunks = []
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        chunks.append(chunk)
+                response = b"".join(chunks)
+                assert response.startswith(b"HTTP/1.1 400 ")
+                body = json.loads(response.split(b"\r\n\r\n", 1)[1])
+                assert body["code"] == "bad_request"
+                client = ServingClient("127.0.0.1", server.http_port)
+                assert client.localize(cases[0], k=1)["status"] == "ok"
+            assert collector.metrics.value(
+                "serving_malformed_total", {"code": "bad_request"}
+            ) == 1.0
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_COLUMNS))
+    def test_malformed_packed_column_is_bad_case_before_the_fleet(
+        self, cases, defect, monkeypatch
+    ):
+        body = {"case": MALFORMED_COLUMNS[defect](case_to_dict(cases[0])), "k": 1}
+        with serve() as server:
+            submitted = []
+            monkeypatch.setattr(
+                server.supervisor, "submit", lambda *a, **kw: submitted.append(a)
+            )
+            client = ServingClient("127.0.0.1", server.http_port)
+            status, __, data = client.request(
+                "POST", "/localize", json.dumps(body).encode()
+            )
+            assert status == 400
+            assert json.loads(data)["code"] == "bad_case"
+            assert submitted == []
+            assert server.admission.depth == 0
 
     def test_http_unknown_tenant(self, cases):
         with serve(tenants=["edge-eu"]) as server:

@@ -1,13 +1,15 @@
 """End-to-end smoke: the ``repro serve`` process over a real wire.
 
 This is the ``make serve-smoke`` suite: boot the CLI server in a child
-process, submit cases over HTTP and binary frames, verify the answers
-bit-exact against an in-process run, scrape ``/metrics`` off the same
-port, and shut down cleanly — both by request count and by SIGINT.
+process, submit cases over HTTP (packed and list-form columns) and
+binary frames, verify the answers bit-exact against an in-process run,
+scrape ``/metrics`` off the same port, and shut down cleanly — both by
+request count and by SIGINT.
 """
 
 from __future__ import annotations
 
+import json
 import signal
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from repro.core.miner import RAPMiner
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.serving import BinaryServingClient, ServingClient
+from tests.conftest import list_form_dict
 
 SERVE_ARGS = [
     sys.executable,
@@ -82,7 +85,7 @@ def drain(process, timeout=60):
 
 def test_serve_smoke_end_to_end(cases, serial):
     """Wire submission, bit-identity, metrics scrape, count-based exit."""
-    n_requests = len(cases) + 1
+    n_requests = len(cases) + 2
     process, http_port, binary_port = start_server(
         ["--max-requests", str(n_requests)]
     )
@@ -93,6 +96,15 @@ def test_serve_smoke_end_to_end(cases, serial):
             assert body["status"] == "ok"
             assert body["root_causes"] == serial[case.case_id]
             assert body["request_id"] == case.case_id
+        # A hand-written body sends the leaf-table columns as number lists.
+        listed = cases[1]
+        status, __, data = client.request(
+            "POST",
+            "/localize",
+            json.dumps({"case": list_form_dict(listed), "k": len(listed.true_raps)}).encode(),
+        )
+        assert status == 200
+        assert json.loads(data)["root_causes"] == serial[listed.case_id]
         # The telemetry plane shares the port and sees the capture.
         text = client.metrics()
         assert "serving_requests_total" in text
