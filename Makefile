@@ -1,17 +1,10 @@
-.PHONY: install test test-backends chaos docs-check kernels-check fleet-check serve-smoke bench bench-search bench-stacked bench-stream bench-native bench-serve obs-overhead telemetry-smoke trace-demo report examples paper clean
+.PHONY: install test chaos docs-check fleet-check serve-smoke bench bench-search bench-stacked bench-stream obs-overhead telemetry-smoke trace-demo regen report report-paper examples paper clean
 
 install:
 	pip install -e .[dev]
 
 test:
 	pytest tests/
-
-# Tier-1 under both kernel backends: the numpy reference, then the
-# native C library (which degrades to numpy with a warning when the
-# host has no compiler — the suite must pass either way).
-test-backends:
-	RAPMINER_BACKEND=numpy pytest tests/
-	RAPMINER_BACKEND=native pytest tests/
 
 # Fault-injection suite (docs/resilience.md): fixed seeds + StepClocks,
 # fully deterministic — no timing flakes.
@@ -22,13 +15,6 @@ chaos:
 # still exist, every docs/*.md is listed in docs/index.md.
 docs-check:
 	pytest tests/test_docs.py -p no:cacheprovider
-
-# Native kernel gate: backend registry + bitwise-equivalence tests, then
-# a strict compile + randomized spot checks with per-kernel micro-timings
-# (python -m repro.native.selfcheck; exit 2 = cannot build, 1 = mismatch).
-kernels-check:
-	pytest tests/native/ -p no:cacheprovider
-	python -m repro.native.selfcheck
 
 # Fleet gate (tier-1): executor (per-layout FIFOs, crash protocol,
 # serving lifecycle), supervisor and store suites, the bitwise
@@ -61,20 +47,6 @@ bench-stacked:
 # with bit-identical candidates asserted on every tick.
 bench-stream:
 	pytest benchmarks/test_stream_delta.py::test_stream_delta_report -p no:cacheprovider
-
-# Serial vs vectorized-numpy vs native C backend; writes BENCH_native.json
-# at the repo root and enforces the >=2x floor on the kernel trio with
-# bit-identical candidates asserted end to end.
-bench-native:
-	pytest benchmarks/test_native_kernels.py::test_native_kernels_report -p no:cacheprovider
-
-# Sustained serving throughput over a live wire (1 and 4 client threads)
-# plus the overload shed profile; writes BENCH_serve.json at the repo
-# root with cpu_count recorded.  Bit-identity of every accepted response
-# and typed, leak-free shedding are asserted; throughput is recorded,
-# not gated (a shared host's capacity is an observation, not an invariant).
-bench-serve:
-	pytest benchmarks/test_serve_throughput.py::test_serve_throughput_report -p no:cacheprovider
 
 # "Off = free" guard: per-op ceilings on the disabled obs primitives plus
 # a macro stability check of the obs-disabled hot path; writes

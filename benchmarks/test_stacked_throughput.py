@@ -32,7 +32,6 @@ from repro import RAPMiner
 from repro.data.dataset import FineGrainedDataset
 from repro.data.injection import LocalizationCase
 from repro.experiments.runner import run_cases
-from repro.native import backend_info
 
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_stacked.json"
 #: Stream length: fast-preset case list replayed this many times.
@@ -123,7 +122,6 @@ def test_stacked_throughput_report(rapmd_cases, capsys):
     report = {
         "benchmark": "case-stacked batch kernel throughput (RAPMD protocol, k=5)",
         "dataset": "rapmd-fast-preset",
-        "backend": backend_info(),
         "replay_factor": REPLAY,
         "n_cases": n_cases,
         "repeats": REPEATS,

@@ -40,7 +40,6 @@ from repro.data.cdn_simulator import CDNSimulator, CDNSimulatorConfig
 from repro.data.dataset import FineGrainedDataset
 from repro.data.injection import sample_raps
 from repro.data.schema import cdn_schema
-from repro.native import backend_info, coerce_backend
 
 from test_incremental_warmstart import assert_bit_identical
 
@@ -53,14 +52,7 @@ REPEATS = 3
 TARGET_SPEEDUP = 3.0
 #: Acceptance ceiling on the trace's changed-leaf fraction.
 MAX_CHANGED_FRACTION = 0.10
-
-# The gate isolates the delta *mechanism* (patched ticks vs cold
-# re-aggregation), so both paths are pinned to the numpy reference
-# backend: the native C backend accelerates the cold baseline more than
-# the tiny per-tick patches and would compress the ratio without the
-# mechanism changing.  The artifact records the host's default backend
-# (and compiler) separately under ``host_default_backend``.
-CONFIG = RAPMinerConfig(enable_attribute_deletion=False, backend="numpy")
+CONFIG = RAPMinerConfig(enable_attribute_deletion=False)
 
 
 def build_trace():
@@ -139,8 +131,6 @@ def test_stream_delta_report(capsys):
     speedup = cold_s / delta_s
     report = {
         "benchmark": "streaming delta localization (persisted 2-RAP incident)",
-        "backend": backend_info(coerce_backend(CONFIG.backend)),
-        "host_default_backend": backend_info(),
         "n_ticks": N_TICKS,
         "n_leaves": int(n_leaves),
         "changed_rows_per_tick": int(n_changed),

@@ -167,27 +167,6 @@ def _apply_resilience(method, deadline_ms: Optional[float], degrade: bool):
     return method
 
 
-def _apply_backend(method, backend: Optional[str]):
-    """Wire ``--backend`` into a method carrying a ``backend`` config knob.
-
-    Only RAPMiner-family methods aggregate through the kernel backends;
-    asking for a backend on a baseline is a usage error, not a silent
-    no-op.
-    """
-    if backend is None:
-        return method
-    from dataclasses import replace
-
-    config = getattr(method, "config", None)
-    if config is None or not hasattr(config, "backend"):
-        name = getattr(method, "name", type(method).__name__)
-        raise SystemExit(
-            f"--backend requires a backend-aware method (RAPMiner), got {name}"
-        )
-    method.config = replace(config, backend=backend)
-    return method
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -227,11 +206,8 @@ def _run_localize(args: argparse.Namespace) -> int:
         cases = [c for c in cases if c.case_id == args.case_id]
         if not cases:
             raise SystemExit(f"no case with id {args.case_id!r}")
-    method = _apply_backend(
-        _apply_resilience(
-            _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
-        ),
-        args.backend,
+    method = _apply_resilience(
+        _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
     )
     runner = getattr(method, "run", None)
     for case in cases:
@@ -261,14 +237,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from .fleet import FleetConfig, fleet_localize
 
     cases = load_cases(args.cases)
-    method = _apply_backend(
-        _apply_resilience(
-            _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
-        ),
-        args.backend,
+    method = _apply_resilience(
+        _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
     )
     config = FleetConfig.one_batch(
-        len(cases), k=args.k, k_from_truth=args.k is None, backend=args.backend
+        len(cases), k=args.k, k_from_truth=args.k is None
     )
     start = _time.perf_counter()
     evaluation = fleet_localize(method, cases, config=config)
@@ -297,11 +270,8 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
 
     from .fleet import FleetConfig, FleetStore, FleetSupervisor, replay_store
 
-    method = _apply_backend(
-        _apply_resilience(
-            _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
-        ),
-        args.backend,
+    method = _apply_resilience(
+        _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
     )
     config = FleetConfig(
         shards_per_layout=args.shards,
@@ -309,7 +279,6 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
         tenant_quota=args.tenant_quota,
         k=args.k,
         k_from_truth=args.k is None,
-        backend=args.backend,
     )
 
     if args.replay:
@@ -417,11 +386,8 @@ def _cmd_stream_localize(args: argparse.Namespace) -> int:
                 f"--crossover must be 'auto' or a float, got {args.crossover!r}"
             )
     delta = DeltaConfig(crossover=crossover, rebase_every=args.rebase_every)
-    miner = _apply_backend(
-        _apply_resilience(
-            StreamingRAPMiner(delta=delta), args.deadline_ms, args.degrade
-        ),
-        args.backend,
+    miner = _apply_resilience(
+        StreamingRAPMiner(delta=delta), args.deadline_ms, args.degrade
     )
     if args.serve_metrics:
         from . import obs
@@ -478,13 +444,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .fleet import FleetConfig, FleetStore, FleetSupervisor
     from .serving import AdmissionConfig, LocalizationServer, ServingConfig
 
-    method = _apply_backend(_resolve_methods(args.method)[0], args.backend)
+    method = _resolve_methods(args.method)[0]
     fleet_config = FleetConfig(
         shards_per_layout=args.shards,
         microbatch=args.microbatch,
         tenant_quota=args.tenant_quota,
         k=args.k,
-        backend=args.backend,
     )
     admission = AdmissionConfig(
         max_queue_depth=args.max_queue_depth,
@@ -686,17 +651,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "native"],
-        default=None,
-        help="kernel backend for the aggregation hot paths (default: the "
-        "RAPMINER_BACKEND environment variable, then 'auto'; see "
-        "docs/operational.md)",
-    )
-
-
 def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--deadline-ms",
@@ -739,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="capture spans and engine counters, written as JSONL to PATH",
     )
     _add_resilience_flags(localize)
-    _add_backend_flag(localize)
     localize.set_defaults(handler=_cmd_localize)
 
     batch = sub.add_parser(
@@ -750,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--method", default="RAPMiner")
     batch.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
     _add_resilience_flags(batch)
-    _add_backend_flag(batch)
     batch.set_defaults(handler=_cmd_batch)
 
     fleet = sub.add_parser(
@@ -788,7 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prime worker engines from this segment log before serving",
     )
     _add_resilience_flags(fleet)
-    _add_backend_flag(fleet)
     fleet.set_defaults(handler=_cmd_fleet_localize)
 
     stream = sub.add_parser(
@@ -825,7 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(PORT alone binds 127.0.0.1; port 0 picks an ephemeral port)",
     )
     _add_resilience_flags(stream)
-    _add_backend_flag(stream)
     stream.set_defaults(handler=_cmd_stream_localize)
 
     serve = sub.add_parser(
@@ -917,7 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="exit after answering N requests (smoke tests; default: run forever)",
     )
-    _add_backend_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     profile = sub.add_parser(

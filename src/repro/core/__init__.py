@@ -44,11 +44,11 @@ from .search import (
     batched_layerwise_topdown_search,
     layerwise_topdown_search,
 )
+from .kernels import stacked_key_dtype
 from .stacked import (
     StackedCaseEngine,
     StackedLayerCuboid,
     group_datasets_by_layout,
-    stacked_key_dtype,
 )
 
 __all__ = [

@@ -25,6 +25,7 @@ import numpy as np
 from .. import obs
 from ..data.dataset import FineGrainedDataset
 from ..obs import trace as _trace
+from . import kernels
 
 __all__ = [
     "binary_entropy",
@@ -87,12 +88,9 @@ def classification_power(dataset: FineGrainedDataset, attribute) -> float:
     ``Info(D) = 0`` and no attribute can classify anything — CP is defined
     as ``0`` for every attribute (nothing to localize / nothing to prune by).
 
-    The per-element counts run on the dataset's shared engine backend
-    (numpy or native — identical either way); the entropy reduction is
-    the shared :func:`cp_powers_from_counts`.
+    The per-element counts are two :func:`~repro.core.kernels.count_bincount`
+    passes; the entropy reduction is the shared :func:`cp_powers_from_counts`.
     """
-    from .engine import engine_for
-
     index = dataset.schema.index_of(attribute)
     n = dataset.n_rows
     if n == 0:
@@ -101,14 +99,11 @@ def classification_power(dataset: FineGrainedDataset, attribute) -> float:
     if info_d == 0.0:
         return 0.0
 
-    backend = engine_for(dataset).backend
     column = np.ascontiguousarray(dataset.codes[:, index])
     size = dataset.schema.size(index)
-    support = backend.count_bincount(column, size)
+    support = kernels.count_bincount(column, size)
     label_rows = np.flatnonzero(dataset.labels)
-    anomalous = backend.count_bincount(
-        np.ascontiguousarray(column[label_rows]), size
-    )
+    anomalous = kernels.count_bincount(column[label_rows], size)
     return float(cp_powers_from_counts(support, anomalous, n, info_d))
 
 

@@ -56,13 +56,6 @@ class RAPMinerConfig:
     #: E.g. :class:`repro.resilience.StepClock`, which makes budget
     #: expiry reproducible check-for-check in tests.
     deadline_clock: Optional[Callable[[], float]] = None
-    #: Kernel backend for the aggregation hot paths: ``"auto"`` (native
-    #: when a C compiler or cached library is available, else numpy),
-    #: ``"numpy"``, ``"native"``, or ``None`` to defer to the
-    #: ``RAPMINER_BACKEND`` environment variable (then ``auto``).  Both
-    #: backends return bitwise-identical results; see
-    #: ``docs/operational.md``.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.t_cp < 0.0:
@@ -75,11 +68,3 @@ class RAPMinerConfig:
             raise ValueError("n_jobs must be at least 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0.0:
             raise ValueError("deadline_ms must be positive (or None for unlimited)")
-        if self.backend is not None and self.backend not in (
-            "auto",
-            "numpy",
-            "native",
-        ):
-            raise ValueError(
-                "backend must be one of 'auto', 'numpy', 'native' or None"
-            )

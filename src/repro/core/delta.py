@@ -52,6 +52,7 @@ from ..data.dataset import CuboidAggregate, FineGrainedDataset
 from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationDecision, DegradationPolicy
+from . import kernels
 from .engine import AggregationEngine, engine_for
 
 __all__ = ["DeltaConfig", "DeltaStats", "DeltaTick", "DeltaSession"]
@@ -396,7 +397,7 @@ class DeltaSession:
         lost = old_labels & ~new_labels
         v_delta = new.v[changed] - old.v[changed]
         f_delta = new.f[changed] - old.f[changed]
-        anomalous_delta, v_dense, f_dense = engine.backend.delta_patch(
+        anomalous_delta, v_dense, f_dense = kernels.delta_patch(
             new.codes[changed], stride_matrix, offsets, total,
             gained, lost, v_delta, f_delta,
         )
@@ -466,7 +467,6 @@ class DeltaSession:
                 2 * len(engine._aggregates),
                 kind="delta_rebase",
             )
-        backend = engine.backend
         for indices, aggregate in list(engine._aggregates.items()):
             keys = engine._keys_for(indices)
             capacity = engine._geometry(indices)[2]
@@ -477,10 +477,10 @@ class DeltaSession:
                 codes=aggregate.codes,
                 support=aggregate.support,
                 anomalous_support=aggregate.anomalous_support,
-                v_sum=backend.weighted_bincount(keys, dataset.v, capacity)[
+                v_sum=kernels.weighted_bincount(keys, dataset.v, capacity)[
                     occupied
                 ],
-                f_sum=backend.weighted_bincount(keys, dataset.f, capacity)[
+                f_sum=kernels.weighted_bincount(keys, dataset.f, capacity)[
                     occupied
                 ],
             )

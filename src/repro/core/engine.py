@@ -69,8 +69,8 @@ import numpy as np
 
 from .. import obs
 from ..data.dataset import CuboidAggregate, FineGrainedDataset
-from ..native import coerce_backend
 from ..obs import trace as _trace
+from . import kernels
 from .attribute import AttributeCombination
 from .cuboid import Cuboid
 
@@ -101,25 +101,12 @@ _ENGINE_ATTR = "_repro_engine"
 _MAX_BATCH_ELEMENTS = 1 << 21
 
 
-def engine_for(dataset: FineGrainedDataset, backend=None) -> "AggregationEngine":
-    """The shared engine of *dataset*, created on first use.
-
-    ``backend`` (a name or :class:`~repro.native.KernelBackend`) only
-    matters when it disagrees with the cached engine's backend: the
-    engine is then rebuilt on the requested one (aggregates are bitwise
-    identical across backends, so swapping never changes results).
-    """
+def engine_for(dataset: FineGrainedDataset) -> "AggregationEngine":
+    """The shared engine of *dataset*, created on first use."""
     engine = getattr(dataset, _ENGINE_ATTR, None)
     if engine is None:
-        engine = AggregationEngine(dataset, backend=backend)
+        engine = AggregationEngine(dataset)
         setattr(dataset, _ENGINE_ATTR, engine)
-    elif backend is not None:
-        resolved = coerce_backend(backend)
-        if engine.backend.name != resolved.name:
-            engine = AggregationEngine(
-                dataset, n_jobs=engine.n_jobs, backend=resolved
-            )
-            setattr(dataset, _ENGINE_ATTR, engine)
     return engine
 
 
@@ -162,30 +149,21 @@ class AggregationEngine:
     n_jobs:
         Default worker count for :meth:`layer_aggregates`; ``1`` keeps
         everything on the calling thread.
-    backend:
-        Kernel backend for the fused aggregation passes — a
-        :class:`~repro.native.KernelBackend` instance, a name
-        (``auto``/``numpy``/``native``), or ``None`` for the process
-        default (``RAPMINER_BACKEND`` env var, else ``auto``).  Both
-        backends return bitwise-identical aggregates.
     """
+
+    #: The kernel set every pass runs on (:mod:`repro.core.kernels`);
+    #: ``engine.backend.info()`` names it in benchmark reports.
+    backend = kernels
 
     #: Largest cuboid lattice :meth:`prepare` aggregates in one batched
     #: pass; wider attribute sets fall back to seeding a roll-up base.
     _MAX_PREFETCH_CUBOIDS = 64
 
-    def __init__(
-        self, dataset: FineGrainedDataset, n_jobs: int = 1, backend=None
-    ):
+    def __init__(self, dataset: FineGrainedDataset, n_jobs: int = 1):
         if n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
         self.dataset = dataset
         self.n_jobs = n_jobs
-        self.backend = coerce_backend(backend)
-        if _trace.ACTIVE:
-            obs.set_gauge(
-                "engine_backend_info", 1.0, backend=self.backend.name
-            )
         self._sizes = list(dataset.schema.sizes)
         #: indices tuple -> (sizes, strides, capacity); tiny, but recomputed
         #: on every call of the hot path without the cache.
@@ -236,8 +214,8 @@ class AggregationEngine:
         if keys is None:
             codes = self.dataset.codes
             if len(indices) == 1:
-                # Contiguous copy: a strided column view would force the
-                # native backend to re-copy on every kernel call.
+                # Contiguous copy: np.bincount copies a strided column
+                # view on every call, and these keys feed many passes.
                 keys = np.ascontiguousarray(codes[:, indices[0]])
             else:
                 __, strides, __ = self._geometry(indices)
@@ -263,20 +241,6 @@ class AggregationEngine:
 
     # -- fused aggregation -----------------------------------------------------
 
-    def _fused_bincount(
-        self, keys: np.ndarray, weight_columns: Sequence[np.ndarray], capacity: int
-    ) -> np.ndarray:
-        """Stacked-weights bincount: one pass for all lanes.
-
-        Returns shape ``(capacity, len(weight_columns))``.  Lane ``i`` of
-        row ``k`` is ``sum(weight_columns[i][keys == k])``; per-bucket
-        additions happen in row order, exactly as in separate bincounts,
-        on either backend.
-        """
-        if _trace.ACTIVE:
-            obs.inc("engine_bincount_passes_total", kind="fused")
-        return self.backend.fused_bincount(keys, weight_columns, capacity)
-
     def _aggregate_batch(self, cuboids: Sequence[Cuboid]) -> None:
         """Aggregate several uncached cuboids in one set of batched passes.
 
@@ -290,9 +254,8 @@ class AggregationEngine:
         """
         dataset = self.dataset
         n_blocks = len(cuboids)
-        # Column j of the stride matrix holds cuboid j's strides; the
-        # backend turns it into every cuboid's linear keys at once (one
-        # integer matmul on numpy, one fused row walk natively).
+        # Column j of the stride matrix holds cuboid j's strides; one
+        # integer matmul turns it into every cuboid's linear keys at once.
         stride_matrix = np.zeros((len(self._sizes), n_blocks), dtype=np.int64)
         offsets = np.empty(n_blocks, dtype=np.int64)
         metas: List[Tuple[Cuboid, int, int, List[int]]] = []
@@ -306,7 +269,7 @@ class AggregationEngine:
             metas.append((cuboid, offset, capacity, sizes))
             offset += capacity
         label_rows = self._anomalous_rows()
-        support_all, anomalous_all, v_all, f_all = self.backend.fused_batch(
+        support_all, anomalous_all, v_all, f_all = kernels.fused_batch(
             dataset.codes, stride_matrix, offsets, offset, label_rows,
             dataset.v, dataset.f,
         )
@@ -420,7 +383,9 @@ class AggregationEngine:
         keys = source.codes[:, positions[0]] * int(strides[0])
         for stride, position in zip(strides[1:], positions[1:]):
             keys = keys + source.codes[:, position] * int(stride)
-        totals = self._fused_bincount(
+        if _trace.ACTIVE:
+            obs.inc("engine_bincount_passes_total", kind="fused")
+        totals = kernels.fused_bincount(
             keys,
             (
                 source.support.astype(float),
@@ -477,11 +442,10 @@ class AggregationEngine:
                 obs.inc("engine_aggregate_total", path="warm_refresh")
                 obs.inc("engine_bincount_passes_total", 3, kind="warm_refresh")
             dataset = self.dataset
-            backend = self.backend
             keys, capacity = self.linear_keys(cuboid)
             label_rows = self._anomalous_rows()
             if label_rows.size:
-                anomalous = backend.count_bincount(keys[label_rows], capacity)[
+                anomalous = kernels.count_bincount(keys[label_rows], capacity)[
                     shape.occupied
                 ]
             else:
@@ -492,10 +456,10 @@ class AggregationEngine:
                 codes=shape.codes,
                 support=shape.support,
                 anomalous_support=anomalous.astype(np.int64, copy=False),
-                v_sum=backend.weighted_bincount(keys, dataset.v, capacity)[
+                v_sum=kernels.weighted_bincount(keys, dataset.v, capacity)[
                     shape.occupied
                 ],
-                f_sum=backend.weighted_bincount(keys, dataset.f, capacity)[
+                f_sum=kernels.weighted_bincount(keys, dataset.f, capacity)[
                     shape.occupied
                 ],
             )
@@ -534,7 +498,7 @@ class AggregationEngine:
         shape = self._shapes[cuboid.attribute_indices]
         if _trace.ACTIVE:
             obs.inc("engine_bincount_passes_total", kind="relabel")
-        anomalous = self.backend.weighted_bincount(
+        anomalous = kernels.weighted_bincount(
             keys, np.asarray(labels, dtype=float), capacity
         )[shape.occupied]
         return CuboidAggregate(
@@ -775,7 +739,7 @@ class AggregationEngine:
             raise ValueError("warm_clone needs an identical leaf population")
         if _trace.ACTIVE:
             obs.inc("engine_warm_clones_total")
-        clone = AggregationEngine(dataset, n_jobs=self.n_jobs, backend=self.backend)
+        clone = AggregationEngine(dataset, n_jobs=self.n_jobs)
         clone._geometries = self._geometries
         clone._keys = self._keys
         clone._postings = self._postings

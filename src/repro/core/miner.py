@@ -15,14 +15,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..data.dataset import FineGrainedDataset
-from ..native import coerce_backend
 from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationDecision, DegradationPolicy
 from .attribute import AttributeCombination
 from .classification_power import AttributeDeletionResult, delete_redundant_attributes
 from .config import RAPMinerConfig
-from .engine import AggregationEngine, engine_for
+from .engine import AggregationEngine
 from .scoring import RAPCandidate, rank_candidates
 from .search import (
     SearchStats,
@@ -124,11 +123,6 @@ class RAPMiner:
         ) as run_span:
             if _trace.ACTIVE:
                 obs.inc("miner_runs_total")
-            if engine is None:
-                # Resolve up front (honouring ``config.backend``) so stage 1,
-                # stage 2 and the span's backend tag all see the same engine.
-                engine = engine_for(dataset, backend=cfg.backend)
-            run_span.set(backend=engine.backend.name)
             decision = _decision
             if decision is None and policy is not None:
                 decision = policy.decide_serial(dataset.n_rows, budget)
@@ -271,15 +265,12 @@ class RAPMiner:
             k=k,
             t_cp=cfg.t_cp,
             t_conf=cfg.t_conf,
-            backend=coerce_backend(cfg.backend).name,
         ) as run_span:
             if _trace.ACTIVE:
                 obs.inc("stacked_groups_total", len(groups))
                 obs.inc("stacked_batch_cases_total", len(datasets))
             for group in groups:
-                stacked = StackedCaseEngine(
-                    [datasets[i] for i in group], backend=cfg.backend
-                )
+                stacked = StackedCaseEngine([datasets[i] for i in group])
                 if cfg.enable_attribute_deletion:
                     deletions: List[Optional[AttributeDeletionResult]] = list(
                         stacked.attribute_deletions(cfg.t_cp)

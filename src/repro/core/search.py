@@ -165,8 +165,6 @@ def layerwise_topdown_search(
 
         if engine is None:
             engine = engine_for(dataset)
-        if traced:
-            run_span.set(backend=engine.backend.name)
         engine.prepare(indices)
         candidate_index = CandidateIndex()
         covered = np.zeros(dataset.n_rows, dtype=bool)
@@ -391,7 +389,6 @@ def batched_layerwise_topdown_search(
                 layer=layer,
                 n_active=len(active),
                 n_cuboids=len(cuboids),
-                backend=stacked.backend.name,
             )
             if traced
             else _trace.NULL_SPAN_CONTEXT

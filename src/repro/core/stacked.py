@@ -23,7 +23,8 @@ matrices and computes cuboid aggregates for **all cases at once**:
   ``case_id * n_groups + linear_key``: each case's key range is disjoint
   after offsetting, so one pass replaces ``n_cases`` separate passes.
   Key construction is overflow-checked and promoted to the smallest safe
-  integer dtype (:func:`stacked_key_dtype`: ``uint32`` → ``int64``).
+  integer dtype (:func:`~repro.core.kernels.stacked_key_dtype`:
+  ``uint32`` → ``int64``).
 * **Stacked values** — when a consumer needs ``v``/``f`` sums,
   :meth:`StackedCaseEngine.aggregates` runs the same case-offset trick
   with weighted passes; the concatenation is case-major in leaf-row
@@ -63,8 +64,8 @@ import numpy as np
 
 from .. import obs
 from ..data.dataset import CuboidAggregate, FineGrainedDataset
-from ..native import coerce_backend
 from ..obs import trace as _trace
+from . import kernels
 from .attribute import AttributeCombination
 from .classification_power import (
     AttributeDeletionResult,
@@ -78,7 +79,6 @@ from .engine import AggregationEngine
 __all__ = [
     "StackedCaseEngine",
     "StackedLayerCuboid",
-    "stacked_key_dtype",
     "group_datasets_by_layout",
 ]
 
@@ -91,28 +91,6 @@ _MAX_STACKED_ELEMENTS = 1 << 21
 #: (``n_cases x sum(capacities)``); larger batches are chunked over
 #: cases.  2^22 int64 bins = 32 MiB per pass.
 _MAX_STACKED_BINS = 1 << 22
-
-
-def stacked_key_dtype(n_slots: int, capacity: int) -> np.dtype:
-    """Smallest integer dtype that holds ``slot * capacity + key`` safely.
-
-    The stacked key space spans ``n_slots * capacity`` values (exact
-    Python-int arithmetic, so the check itself cannot overflow).  Returns
-    ``uint32`` when every key fits in 32 bits, else ``int64``; raises
-    :class:`OverflowError` when even ``int64`` cannot represent the top
-    key — the caller must chunk the batch instead of wrapping around.
-    """
-    if n_slots < 0 or capacity < 0:
-        raise ValueError("n_slots and capacity must be non-negative")
-    span = int(n_slots) * int(capacity)
-    if span > 2**63:
-        raise OverflowError(
-            f"stacked key space of {n_slots} cases x {capacity} groups "
-            f"({span} keys) exceeds int64; chunk the batch"
-        )
-    if span <= 2**32:
-        return np.dtype(np.uint32)
-    return np.dtype(np.int64)
 
 
 def group_datasets_by_layout(
@@ -206,13 +184,12 @@ class StackedCaseEngine:
         (labels, ``v`` and ``f`` may differ freely — nothing the stacked
         passes share depends on them).  Use
         :func:`group_datasets_by_layout` to split a mixed collection.
-    backend:
-        Kernel backend for the fused stacked passes (name, instance or
-        ``None`` for the process default); both backends return
-        bitwise-identical counts and sums.
     """
 
-    def __init__(self, datasets: Sequence[FineGrainedDataset], backend=None):
+    #: The kernel set of the stacked passes (:mod:`repro.core.kernels`).
+    backend = kernels
+
+    def __init__(self, datasets: Sequence[FineGrainedDataset]):
         if not datasets:
             raise ValueError("StackedCaseEngine needs at least one dataset")
         first = datasets[0]
@@ -228,12 +205,11 @@ class StackedCaseEngine:
         self.schema = first.schema
         self.n_rows = first.n_rows
         self.n_cases = len(self.datasets)
-        self.backend = coerce_backend(backend)
         #: Private engine over the representative dataset — *not* installed
         #: in the shared per-dataset registry, so building a stacked batch
         #: never changes how a later serial run over the same dataset
         #: resolves its aggregates.
-        self.engine = AggregationEngine(first, backend=self.backend)
+        self.engine = AggregationEngine(first)
         self._label_rows: List[np.ndarray] = [
             np.flatnonzero(dataset.labels) for dataset in self.datasets
         ]
@@ -258,7 +234,7 @@ class StackedCaseEngine:
         shape = self._shapes.get(indices)
         if shape is None:
             keys, capacity = self.engine.linear_keys(cuboid)
-            support = self.backend.count_bincount(keys, capacity)
+            support = kernels.count_bincount(keys, capacity)
             if _trace.ACTIVE:
                 obs.inc("stacked_bincount_passes_total", kind="support")
             occupied = np.flatnonzero(support)
@@ -347,8 +323,7 @@ class StackedCaseEngine:
             if total_rows == 0:
                 continue
             rows_cat = np.concatenate(rows_per_case)
-            stacked_key_dtype(len(chunk), total_capacity)  # overflow guard
-            counts = self.backend.stacked_anomalous(
+            counts = kernels.stacked_anomalous(
                 key_columns, offsets, total_capacity, rows_cat, lengths
             )
             if _trace.ACTIVE:
@@ -410,7 +385,7 @@ class StackedCaseEngine:
         per_chunk = max(1, _MAX_STACKED_ELEMENTS // max(1, self.n_rows))
         for start in range(0, n_slots, per_chunk):
             chunk = picked[start : start + per_chunk]
-            v_all, f_all = self.backend.stacked_weighted(
+            v_all, f_all = kernels.stacked_weighted(
                 keys,
                 capacity,
                 [
@@ -441,7 +416,7 @@ class StackedCaseEngine:
         """CP of every attribute for every case, shape ``(n_cases, n_attributes)``.
 
         The per-attribute support/anomalous counts are layer-1 cuboid
-        aggregates and come from one stacked pass on the active backend;
+        aggregates and come from one stacked pass;
         the entropy reduction is the shared batch-invariant
         :func:`~repro.core.classification_power.cp_powers_from_counts`,
         so every CP value is bitwise equal to the serial

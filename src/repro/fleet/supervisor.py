@@ -116,8 +116,6 @@ class FleetConfig:
     k_from_truth: bool = False
     #: Metadata key copied onto ``CaseResult.group``.
     group_key: str = "group"
-    #: Kernel backend name for cold engine builds (``None`` = default).
-    backend: Optional[str] = None
     #: Inline-mode worker interleaving: a ``random.Random``-like object
     #: with ``choice`` picks which ready worker steps next; ``None`` is
     #: round-robin.  Ignored in thread mode.
@@ -428,7 +426,7 @@ class FleetSupervisor:
             engine = cached.warm_clone(case.dataset)
             outcome = "warm"
         else:
-            engine = engine_for(case.dataset, backend=self.config.backend)
+            engine = engine_for(case.dataset)
             outcome = "cold"
         worker.engine = engine
         if cached is not None and cached is not engine:
@@ -818,9 +816,7 @@ class FleetSupervisor:
             with self._lock:
                 workers = list(self._queue_for(layout_key(case.dataset)).workers)
             for worker in workers:
-                engine = install_engine(
-                    AggregationEngine(case.dataset, backend=self.config.backend)
-                )
+                engine = install_engine(AggregationEngine(case.dataset))
                 self.method.localize(case.dataset, self._case_k(case))
                 worker.engine = engine
                 if _trace.ACTIVE:

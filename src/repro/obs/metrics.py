@@ -45,11 +45,6 @@ METRIC_HELP: Dict[str, str] = {
     "engine_rows_cache_total": "Covered-row lookups by cache outcome",
     "engine_postings_built_total": "Attribute posting lists materialized",
     "engine_warm_clones_total": "Engines warm-cloned across intervals",
-    # -- kernel backends ---------------------------------------------------
-    "engine_backend_info": "Active kernel backend as a labelled constant gauge",
-    "engine_backend_compile_seconds": "Wall seconds the native library took to compile (0 on cache hits)",
-    "engine_backend_fallback_total": "Native-backend requests degraded to numpy by reason",
-    "native_kernel_calls_total": "Native C kernel invocations by kernel symbol",
     # -- two-stage miner ---------------------------------------------------
     "cp_attributes_total": "Algorithm 1 attribute decisions (kept vs deleted)",
     "search_layers_total": "BFS layers entered by Algorithm 2",

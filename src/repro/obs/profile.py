@@ -15,12 +15,6 @@ per span *family* (name):
 Child time can legitimately exceed the parent's wall time when children
 run on fan-out threads; self time is clamped at zero per span so a
 threaded parent never reports negative work.
-
-Spans tagged with a ``backend`` attribute (``miner.run``,
-``miner.run_batch``, ``search.run``, ``search.stacked_layer``) profile
-as distinct families — ``search.run[backend=native]`` vs
-``search.run[backend=numpy]`` — so kernel time is attributed to the
-backend that actually ran it.
 """
 
 from __future__ import annotations
@@ -72,30 +66,16 @@ class FamilyProfile:
         }
 
 
-def _family_name(name: str, attributes: object) -> str:
-    """The family key: the span name, qualified by its ``backend`` tag."""
-    if isinstance(attributes, dict):
-        backend = attributes.get("backend")
-        if backend is not None:
-            return f"{name}[backend={backend}]"
-    return name
-
-
 def _fields(span: _SpanLike) -> Tuple[str, object, object, float]:
     """``(family, span_id, parent_id, duration_s)`` from a span or a record."""
     if isinstance(span, dict):
         return (
-            _family_name(str(span.get("name", "")), span.get("attributes")),
+            str(span.get("name", "")),
             span.get("span_id"),
             span.get("parent_id"),
             float(span.get("duration_s", 0.0) or 0.0),
         )
-    return (
-        _family_name(span.name, span.attributes),
-        span.span_id,
-        span.parent_id,
-        span.duration_s,
-    )
+    return span.name, span.span_id, span.parent_id, span.duration_s
 
 
 def profile_spans(spans: Iterable[_SpanLike]) -> List[FamilyProfile]:

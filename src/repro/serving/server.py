@@ -151,6 +151,9 @@ class LocalizationServer:
         self._binary_sock: Optional[socket.socket] = None
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._binary_server: Optional[asyncio.AbstractServer] = None
+        #: Open accepted connections (writer -> handler task), touched on
+        #: the loop thread only; stop() closes what is left.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: seq -> (future, tenant); guarded by ``_pending_lock`` together
         #: with ``_early`` (results that landed before registration).
         self._pending: Dict[int, Tuple[asyncio.Future, str]] = {}
@@ -202,11 +205,29 @@ class LocalizationServer:
 
     async def _open_listeners(self) -> None:
         self._http_server = await asyncio.start_server(
-            self._serve_http, sock=self._http_sock
+            self._tracked(self._serve_http), sock=self._http_sock
         )
         if self._binary_sock is not None:
             self._binary_server = await asyncio.start_server(
-                self._serve_binary, sock=self._binary_sock
+                self._tracked(self._serve_binary), sock=self._binary_sock
+            )
+
+    def _tracked(self, handler):
+        """*handler* as a connect callback that registers its connection."""
+
+        def on_connect(reader, writer) -> None:
+            task = asyncio.get_running_loop().create_task(handler(reader, writer))
+            self._connections[writer] = task
+            task.add_done_callback(lambda _: self._finished(writer, task))
+
+        return on_connect
+
+    def _finished(self, writer: asyncio.StreamWriter, task: asyncio.Task) -> None:
+        """Forget a finished connection; report a handler that crashed."""
+        self._connections.pop(writer, None)
+        if not task.cancelled() and task.exception() is not None:
+            task.get_loop().call_exception_handler(
+                {"message": "connection handler failed", "exception": task.exception()}
             )
 
     def stop(self, timeout: float = 30.0) -> None:
@@ -215,7 +236,8 @@ class LocalizationServer:
         Order matters: admission flips to ``shutting_down`` (typed sheds
         from here on), listeners stop accepting, the fleet runs its
         queues dry delivering every admitted result, in-flight handlers
-        write their responses, then the loop thread exits.  Idempotent.
+        write their responses, connections still open are closed, then
+        the loop thread exits.  Idempotent.
         """
         if not self._started:
             return
@@ -240,17 +262,36 @@ class LocalizationServer:
         self._binary_sock = None
 
     async def _close_listeners(self) -> None:
-        for server in (self._http_server, self._binary_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        """Stop accepting, let accepts in progress finish, then close.
+
+        An accepted socket becomes a transport a few loop turns later; a
+        server closed in between cannot attach it and leaks the socket.
+        The tasks that are neither handlers nor this one are those accepts.
+        """
+        loop = asyncio.get_running_loop()
+        servers = [s for s in (self._http_server, self._binary_server) if s is not None]
+        for server in servers:
+            for sock in server.sockets:
+                loop.remove_reader(sock.fileno())
+        accepting = (
+            asyncio.all_tasks()
+            - set(self._connections.values())
+            - {asyncio.current_task()}
+        )
+        if accepting:
+            await asyncio.wait(accepting, timeout=5.0)
+        for server in servers:
+            server.close()
+            await server.wait_closed()
 
     async def _quiesce(self) -> None:
-        """Let in-flight handler tasks write their responses and finish."""
-        current = asyncio.current_task()
-        tasks = [t for t in asyncio.all_tasks() if t is not current]
-        if tasks:
-            await asyncio.wait(tasks, timeout=5.0)
+        """Let in-flight handlers finish, then close what is still open."""
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()), timeout=5.0)
+        for writer in list(self._connections):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()), timeout=1.0)
 
     def __enter__(self) -> "LocalizationServer":
         return self.start()
