@@ -140,7 +140,6 @@ def test_stream_delta_report(capsys):
         "delta_amortized_per_tick_s": delta_s / N_TICKS,
         "patched_ticks": stats.patched_ticks,
         "cold_ticks": stats.cold_ticks,
-        "rebases": stats.rebases,
         "patch_seconds_total": stats.patch_seconds,
         "speedup": speedup,
         "target_speedup": TARGET_SPEEDUP,
@@ -160,8 +159,7 @@ def test_stream_delta_report(capsys):
         print(f"  cold : {cold_s / N_TICKS * 1e3:8.2f} ms/tick")
         print(
             f"  delta: {delta_s / N_TICKS * 1e3:8.2f} ms/tick amortized "
-            f"({stats.patched_ticks} patched, {stats.cold_ticks} cold, "
-            f"{stats.rebases} re-bases)"
+            f"({stats.patched_ticks} patched, {stats.cold_ticks} cold)"
         )
         print(
             f"  speedup {speedup:.2f}x  report: {REPORT_PATH.name} "

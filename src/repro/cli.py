@@ -385,7 +385,7 @@ def _cmd_stream_localize(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--crossover must be 'auto' or a float, got {args.crossover!r}"
             )
-    delta = DeltaConfig(crossover=crossover, rebase_every=args.rebase_every)
+    delta = DeltaConfig(crossover=crossover)
     miner = _apply_resilience(
         StreamingRAPMiner(delta=delta), args.deadline_ms, args.degrade
     )
@@ -422,11 +422,9 @@ def _cmd_stream_localize(args: argparse.Namespace) -> int:
             f"  ({tick.reason or 'delta'}, changed {tick.changed_fraction:.1%})"
             f"{extras}"
         )
-    stats = miner.stats
     print(
         f"\n{len(replay.ticks)} ticks: {replay.patched_ticks} patched, "
-        f"{replay.cold_ticks} cold, {stats.rebases} re-bases "
-        f"({stats.drift_rebases} drift); amortized "
+        f"{replay.cold_ticks} cold; amortized "
         f"{replay.amortized_seconds * 1e3:.1f} ms/tick"
     )
     if args.verify:
@@ -754,13 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="changed-leaf fraction above which a tick aggregates cold: "
         "'auto' (measured break-even, default) or a float in (0, 1]",
-    )
-    stream.add_argument(
-        "--rebase-every",
-        type=int,
-        default=64,
-        metavar="N",
-        help="re-base float lanes after N consecutive patched ticks",
     )
     stream.add_argument(
         "--verify",

@@ -25,12 +25,14 @@ import numpy as np
 from .. import obs
 from ..data.dataset import FineGrainedDataset
 from ..obs import trace as _trace
-from . import kernels
+from .cuboid import Cuboid
+from .engine import engine_for
 
 __all__ = [
     "binary_entropy",
     "classification_power",
-    "cp_powers_from_counts",
+    "cp_terms",
+    "cp_from_info",
     "all_classification_powers",
     "partition_attributes",
     "delete_redundant_attributes",
@@ -49,24 +51,25 @@ def binary_entropy(p_anomalous: float) -> float:
     return float(entropy)
 
 
-def cp_powers_from_counts(support, anomalous, n_rows, info_d):
-    """Vectorized Eq. 1 from full-capacity count arrays.
+def cp_terms(support, anomalous, n_rows) -> np.ndarray:
+    """Eq. 1's elementwise part: each element's weighted branch entropy.
 
     ``support`` and ``anomalous`` are dense per-element counts (zeros at
-    unoccupied codes) whose **last** axis enumerates one attribute's
-    elements; leading axes broadcast (the case-stacked path passes one
-    row per case).  ``info_d`` broadcasts over the leading axes.
+    unoccupied codes) that broadcast against each other; the result has
+    their broadcast shape.  ``Info_attr(D)`` of an attribute is the
+    ``np.sum`` of its elements' terms, and :func:`cp_from_info` finishes
+    Eq. 1.
 
-    Batch invariance: every step is elementwise except one ``np.sum``
-    over the last axis, so evaluating a stack of cases returns bitwise
-    the same values as evaluating each case alone — which is what keeps
-    :meth:`repro.core.stacked.StackedCaseEngine.classification_powers`
-    bit-identical to the serial :func:`classification_power`.
+    Callers lay several attributes (and, in the case-stacked path,
+    several cases) side by side and sum each attribute's own contiguous
+    slice.  Every step here is elementwise, so that layout yields bitwise
+    the values of one attribute and one case alone — provided each slice
+    keeps its attribute's own length: ``np.sum``'s pairwise blocking
+    depends on it, so never pad attributes to a common width.
     """
-    support = np.asarray(support, dtype=float)
-    anomalous = np.asarray(anomalous, dtype=float)
-    support, anomalous = np.broadcast_arrays(support, anomalous)
-    info_d = np.asarray(info_d, dtype=float)
+    support, anomalous = np.broadcast_arrays(
+        np.asarray(support, dtype=float), np.asarray(anomalous, dtype=float)
+    )
     occupied = support > 0
     p_a = np.zeros(support.shape)
     np.divide(anomalous, support, out=p_a, where=occupied)
@@ -76,43 +79,57 @@ def cp_powers_from_counts(support, anomalous, n_rows, info_d):
         contribution = np.zeros(support.shape)
         contribution[positive] = p[positive] * np.log(p[positive])
         branch_entropy -= contribution
-    info_attr = np.sum(support / n_rows * branch_entropy, axis=-1)
+    return support / n_rows * branch_entropy
+
+
+def cp_from_info(info_d, info_attr) -> np.ndarray:
+    """``CP = (Info(D) - Info_attr(D)) / Info(D)``, and 0 where ``Info(D) = 0``."""
+    info_d = np.asarray(info_d, dtype=float)
     safe = np.where(info_d > 0.0, info_d, 1.0)
     return np.where(info_d > 0.0, (info_d - info_attr) / safe, 0.0)
 
 
-def classification_power(dataset: FineGrainedDataset, attribute) -> float:
-    """``CP_attr`` (Eq. 1) of one attribute over the labelled leaf table.
+def all_classification_powers(dataset: FineGrainedDataset) -> Dict[str, float]:
+    """``CP_attr`` (Eq. 1) of every schema attribute, keyed by attribute name.
 
     Degenerate case: when the leaf labels are all-normal or all-anomalous,
     ``Info(D) = 0`` and no attribute can classify anything — CP is defined
     as ``0`` for every attribute (nothing to localize / nothing to prune by).
 
-    The per-element counts are two :func:`~repro.core.kernels.count_bincount`
-    passes; the entropy reduction is the shared :func:`cp_powers_from_counts`.
+    The per-element counts are the support and anomalous support of the
+    single-attribute cuboid aggregates of the dataset's shared engine
+    (:func:`~repro.core.engine.engine_for`) — the aggregates BFS layer 1
+    reads too, so one aggregation pass serves both stages.  Each
+    attribute's counts go into its own full-size slot of one array,
+    :func:`cp_terms` runs once over it, and one ``np.sum`` per slot gives
+    that attribute's ``Info_attr(D)``.
     """
-    index = dataset.schema.index_of(attribute)
+    names = dataset.schema.names
     n = dataset.n_rows
-    if n == 0:
-        return 0.0
-    info_d = binary_entropy(dataset.n_anomalous / n)
+    info_d = binary_entropy(dataset.n_anomalous / n) if n else 0.0
     if info_d == 0.0:
-        return 0.0
+        return {name: 0.0 for name in names}
+    bounds = np.cumsum([0, *dataset.schema.sizes])
+    support = np.zeros(bounds[-1])
+    anomalous = np.zeros(bounds[-1])
+    cuboids = [Cuboid((i,)) for i in range(len(names))]
+    aggregates = engine_for(dataset).layer_aggregates(cuboids)
+    for start, aggregate in zip(bounds, aggregates):
+        slots = start + aggregate.codes[:, 0]
+        support[slots] = aggregate.support
+        anomalous[slots] = aggregate.anomalous_support
+    terms = cp_terms(support, anomalous, n)
+    info_attr = np.array(
+        [np.sum(terms[bounds[i] : bounds[i + 1]]) for i in range(len(names))]
+    )
+    powers = cp_from_info(info_d, info_attr)
+    return {name: float(power) for name, power in zip(names, powers)}
 
-    column = np.ascontiguousarray(dataset.codes[:, index])
-    size = dataset.schema.size(index)
-    support = kernels.count_bincount(column, size)
-    label_rows = np.flatnonzero(dataset.labels)
-    anomalous = kernels.count_bincount(column[label_rows], size)
-    return float(cp_powers_from_counts(support, anomalous, n, info_d))
 
-
-def all_classification_powers(dataset: FineGrainedDataset) -> Dict[str, float]:
-    """CP of every schema attribute, keyed by attribute name."""
-    return {
-        name: classification_power(dataset, i)
-        for i, name in enumerate(dataset.schema.names)
-    }
+def classification_power(dataset: FineGrainedDataset, attribute) -> float:
+    """``CP_attr`` (Eq. 1) of one attribute (see :func:`all_classification_powers`)."""
+    index = dataset.schema.index_of(attribute)
+    return all_classification_powers(dataset)[dataset.schema.names[index]]
 
 
 @dataclass

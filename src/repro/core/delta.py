@@ -9,22 +9,20 @@ every tick even when only a small fraction of leaves changed.  A
   previous tick's (``v``, ``f`` and labels); only the changed rows feed
   the patch pass.
 * **Patch** — every cuboid aggregate cached on the previous engine is
-  rebuilt by subtract-old/add-new on its lanes: the changed rows' linear
-  keys for *all* cached cuboids come from one integer matmul (the same
-  stride-matrix idiom as
-  :meth:`~repro.core.engine.AggregationEngine._aggregate_batch`), and a
-  handful of bincounts over those keys yields dense per-group deltas.
-  Occupancy, support and group codes are label-independent and shared by
-  reference; anomalous support is patched in **exact integer** arithmetic,
-  so candidate sets, confidences and RAPScores are bit-identical to a
-  cold run on every tick.  The float ``v``/``f`` lanes accumulate
-  summation-order rounding instead, which is why they are
-* **Re-based** — every :attr:`DeltaConfig.rebase_every` patched ticks, and
-  immediately whenever the per-cuboid lane totals drift from the leaf
-  table's true sums beyond :attr:`DeltaConfig.drift_rtol`, the float lanes
-  are recomputed from the leaves over the engine's cached keys — the same
-  summation order as a cold batched pass, so a re-base restores bitwise
-  equality with a cold engine.
+  carried to the new tick.  Occupancy, support and group codes are
+  label-independent and shared by reference.  Anomalous support moves
+  only where a label flipped: the flipped rows' linear keys for *all*
+  cached cuboids come from one integer matmul (the same stride-matrix
+  idiom as :meth:`~repro.core.engine.AggregationEngine._aggregate_batch`),
+  and two bincounts over them give the dense per-group delta, applied in
+  **exact integer** arithmetic.  A tick without label flips runs no kernel
+  at all.  Candidate sets, confidences and RAPScores are therefore
+  bit-identical to a cold run on every tick.
+* **Lazy value lanes** — the ``v``/``f`` sums are never patched: each
+  carried aggregate gets a fresh :class:`~repro.core.engine.LaneSpec`
+  over the new tick's arrays, which computes a lane from the leaves on
+  first read.  The lanes are therefore exactly a cold engine's on every
+  tick, with no float drift to correct.
 * **Cold fallback** — a schema/layout change (new attribute value, new
   leaf population) re-anchors the session on a fresh engine; a tick whose
   changed-leaf fraction exceeds the crossover threshold, or whose
@@ -42,7 +40,7 @@ drives a session per monitored stream by default).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -53,7 +51,7 @@ from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationDecision, DegradationPolicy
 from . import kernels
-from .engine import AggregationEngine, engine_for
+from .engine import AggregationEngine, engine_for, release_engine
 
 __all__ = ["DeltaConfig", "DeltaStats", "DeltaTick", "DeltaSession"]
 
@@ -77,21 +75,11 @@ class DeltaConfig:
     auto_bounds:
         ``(lo, hi)`` clamp on the measured auto threshold, so one noisy
         observation can never pin the session to all-cold or all-patched.
-    rebase_every:
-        Scheduled float-lane re-base period, in patched ticks.  Integer
-        lanes are exact and never need it; this bounds how far the
-        ``v``/``f`` sums can wander from cold bitwise equality.
-    drift_rtol:
-        Relative tolerance on the per-cuboid lane totals (each cuboid
-        partitions the leaves, so its lane must sum to the table total).
-        Exceeding it forces an immediate re-base.
     """
 
     crossover: Union[float, str] = "auto"
     auto_initial: float = 0.25
     auto_bounds: Tuple[float, float] = (0.02, 0.75)
-    rebase_every: int = 64
-    drift_rtol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.crossover != "auto":
@@ -104,21 +92,21 @@ class DeltaConfig:
             raise ValueError("auto_bounds must satisfy 0 < lo <= hi <= 1")
         if not lo <= self.auto_initial <= hi:
             raise ValueError("auto_initial must lie within auto_bounds")
-        if self.rebase_every < 1:
-            raise ValueError("rebase_every must be at least 1")
-        if self.drift_rtol <= 0.0:
-            raise ValueError("drift_rtol must be positive")
 
 
 @dataclass
 class DeltaStats:
-    """Running tallies of one session's tick mix."""
+    """Running tallies of one session's tick mix.
+
+    ``rebases`` is always 0: the value lanes are computed from the leaves
+    when read, so there is no float drift to re-base.  The field stays
+    because benchmark reports read it.
+    """
 
     ticks: int = 0
     patched_ticks: int = 0
     cold_ticks: int = 0
     rebases: int = 0
-    drift_rebases: int = 0
     changed_rows: int = 0
     patched_cuboids: int = 0
     patch_seconds: float = 0.0
@@ -147,8 +135,10 @@ class DeltaTick:
     changed_fraction: float
     patched_cuboids: int
     patch_seconds: float
-    rebased: bool
     decision: Optional[DegradationDecision]
+
+    #: Always ``False`` (see :attr:`DeltaStats.rebases`).
+    rebased = False
 
 
 class DeltaSession:
@@ -157,7 +147,10 @@ class DeltaSession:
     Hold one session per stream; feed every tick's labelled dataset to
     :meth:`begin_tick` and run the search against the returned engine.
     Candidates are bit-identical to a stateless run on every tick —
-    only the cost changes (see the module docstring for why).
+    only the cost changes (see the module docstring for why).  The engine
+    a tick replaces is released from its dataset
+    (:func:`~repro.core.engine.release_engine`), so a tick the caller
+    drops is freed by reference counting.
     """
 
     #: EWMA weight of the newest latency observation in ``"auto"`` mode.
@@ -168,10 +161,9 @@ class DeltaSession:
         self.stats = DeltaStats()
         self._previous: Optional[FineGrainedDataset] = None
         self._engine: Optional[AggregationEngine] = None
-        #: (cached-cuboid keys, stride matrix, offsets, metas, total
-        #: capacity) — rebuilt only when the cached-cuboid set changes.
+        #: (cached-cuboid keys, stride matrix, offsets, total capacity)
+        #: — rebuilt only when the cached-cuboid set changes.
         self._plan: Optional[tuple] = None
-        self._since_rebase = 0
         self._cold_seconds: Optional[float] = None
         self._patched_per_row: Optional[float] = None
 
@@ -180,7 +172,6 @@ class DeltaSession:
         self._previous = None
         self._engine = None
         self._plan = None
-        self._since_rebase = 0
 
     # -- crossover ---------------------------------------------------------
 
@@ -273,22 +264,7 @@ class DeltaSession:
         clone, patched = self._patch(engine, previous, dataset, changed)
         self._previous = dataset
         self._engine = clone
-        rebased = False
-        if patched:
-            self._since_rebase += 1
-            scheduled = self._since_rebase >= self.config.rebase_every
-            if scheduled or self._drifted(clone):
-                self._refresh_float_lanes(clone)
-                self._since_rebase = 0
-                rebased = True
-                self.stats.rebases += 1
-                if not scheduled:
-                    self.stats.drift_rebases += 1
-                if _trace.ACTIVE:
-                    obs.inc(
-                        "delta_rebase_total",
-                        reason="scheduled" if scheduled else "drift",
-                    )
+        release_engine(engine)
         tick = DeltaTick(
             engine=clone,
             path="patched",
@@ -297,7 +273,6 @@ class DeltaSession:
             changed_fraction=fraction,
             patched_cuboids=patched,
             patch_seconds=time.perf_counter() - start,
-            rebased=rebased,
             decision=decision,
         )
         self._note(tick)
@@ -321,7 +296,8 @@ class DeltaSession:
             engine = engine_for(dataset)
         self._previous = dataset
         self._engine = engine
-        self._since_rebase = 0
+        if previous is not None and previous is not engine:
+            release_engine(previous)
         tick = DeltaTick(
             engine=engine,
             path="cold",
@@ -330,7 +306,6 @@ class DeltaSession:
             changed_fraction=fraction,
             patched_cuboids=0,
             patch_seconds=time.perf_counter() - start,
-            rebased=False,
             decision=decision,
         )
         self._note(tick)
@@ -350,16 +325,14 @@ class DeltaSession:
         """
         stride_matrix = np.zeros((len(engine._sizes), len(keys)), dtype=np.int64)
         offsets = np.empty(len(keys), dtype=np.int64)
-        metas: List[Tuple[tuple, int, int]] = []
         total = 0
         for j, indices in enumerate(keys):
             __, strides, capacity = engine._geometry(indices)
             for position, attr in enumerate(indices):
                 stride_matrix[attr, j] = strides[position]
             offsets[j] = total
-            metas.append((indices, total, capacity))
             total += capacity
-        return (tuple(keys), stride_matrix, offsets, metas, total)
+        return (tuple(keys), stride_matrix, offsets, total)
 
     def _patch(
         self,
@@ -368,13 +341,14 @@ class DeltaSession:
         new: FineGrainedDataset,
         changed: np.ndarray,
     ) -> Tuple[AggregationEngine, int]:
-        """Warm clone of *engine* with every cached aggregate patched.
+        """Warm clone of *engine* with every cached aggregate carried over.
 
-        Integer lanes (support, anomalous support) are patched exactly;
-        ``v``/``f`` get subtract-old/add-new float deltas.  Aggregates
-        are immutable by convention, so patched lanes land on *new*
-        :class:`CuboidAggregate` objects — per-aggregate caches (the
-        confidence vector) can never leak stale values across ticks.
+        Anomalous support is patched exactly from the label flips; the
+        ``v``/``f`` lanes are bound to *new*'s arrays and computed when
+        read.  Aggregates are immutable by convention, so carried lanes
+        land on *new* :class:`CuboidAggregate` objects — per-aggregate
+        caches (the confidence vector) can never leak stale values across
+        ticks.
         """
         clone = engine.warm_clone(new)
         keys = sorted(engine._aggregates)
@@ -384,106 +358,39 @@ class DeltaSession:
             # Identical tick: every cached aggregate is still exact.
             clone._aggregates.update(engine._aggregates)
             return clone, len(keys)
-        plan = self._plan
-        if plan is None or plan[0] != tuple(keys):
-            plan = self._build_plan(engine, keys)
-            self._plan = plan
-        __, stride_matrix, offsets, metas, total = plan
-        n_blocks = len(metas)
-
         old_labels = old.labels[changed]
         new_labels = new.labels[changed]
         gained = new_labels & ~old_labels
         lost = old_labels & ~new_labels
-        v_delta = new.v[changed] - old.v[changed]
-        f_delta = new.f[changed] - old.f[changed]
-        anomalous_delta, v_dense, f_dense = kernels.delta_patch(
-            new.codes[changed], stride_matrix, offsets, total,
-            gained, lost, v_delta, f_delta,
-        )
-        if _trace.ACTIVE:
-            obs.inc(
-                "engine_bincount_passes_total",
-                2 + (2 if anomalous_delta is not None else 0),
-                kind="delta_patch",
+        anomalous_delta = None
+        if gained.any() or lost.any():
+            plan = self._plan
+            if plan is None or plan[0] != tuple(keys):
+                plan = self._build_plan(engine, keys)
+                self._plan = plan
+            __, stride_matrix, offsets, total = plan
+            anomalous_delta = kernels.delta_patch(
+                new.codes[changed], stride_matrix, offsets, total, gained, lost
             )
+            if _trace.ACTIVE:
+                obs.inc("engine_bincount_passes_total", 2, kind="delta_patch")
 
         shapes = engine._shapes
-        for indices, offset, capacity in metas:
+        for j, indices in enumerate(keys):
             aggregate = engine._aggregates[indices]
             occupied = shapes[indices].occupied
-            end = offset + capacity
-            if anomalous_delta is None:
-                anomalous = aggregate.anomalous_support
-            else:
-                anomalous = (
-                    aggregate.anomalous_support + anomalous_delta[offset:end][occupied]
-                )
+            anomalous = aggregate.anomalous_support
+            if anomalous_delta is not None:
+                anomalous = anomalous + anomalous_delta[offsets[j] + occupied]
             clone._aggregates[indices] = CuboidAggregate(
                 cuboid=aggregate.cuboid,
                 schema=new.schema,
                 codes=aggregate.codes,
                 support=aggregate.support,
                 anomalous_support=anomalous,
-                v_sum=aggregate.v_sum + v_dense[offset:end][occupied],
-                f_sum=aggregate.f_sum + f_dense[offset:end][occupied],
+                lanes=clone._lanes(indices, occupied),
             )
-        return clone, n_blocks
-
-    # -- float-lane hygiene ------------------------------------------------
-
-    def _drifted(self, engine: AggregationEngine) -> bool:
-        """True when any patched lane total left the drift tolerance.
-
-        Every cuboid partitions the leaves, so each patched ``v``/``f``
-        lane must sum to the leaf table's total up to summation-order
-        rounding; incremental float adds slowly widen that gap.
-        """
-        rtol = self.config.drift_rtol
-        dataset = engine.dataset
-        total_v = float(dataset.v.sum())
-        total_f = float(dataset.f.sum())
-        bound_v = rtol * max(1.0, abs(total_v))
-        bound_f = rtol * max(1.0, abs(total_f))
-        for aggregate in engine._aggregates.values():
-            if abs(float(aggregate.v_sum.sum()) - total_v) > bound_v:
-                return True
-            if abs(float(aggregate.f_sum.sum()) - total_f) > bound_f:
-                return True
-        return False
-
-    def _refresh_float_lanes(self, engine: AggregationEngine) -> None:
-        """Recompute every cached ``v``/``f`` lane from the leaves.
-
-        One weighted bincount per lane over the engine's cached linear
-        keys — the warm-refresh summation order, which is bitwise equal
-        to a cold batched pass — so after a re-base the session's floats
-        match a stateless engine exactly.
-        """
-        dataset = engine.dataset
-        if _trace.ACTIVE:
-            obs.inc(
-                "engine_bincount_passes_total",
-                2 * len(engine._aggregates),
-                kind="delta_rebase",
-            )
-        for indices, aggregate in list(engine._aggregates.items()):
-            keys = engine._keys_for(indices)
-            capacity = engine._geometry(indices)[2]
-            occupied = engine._shapes[indices].occupied
-            engine._aggregates[indices] = CuboidAggregate(
-                cuboid=aggregate.cuboid,
-                schema=aggregate.schema,
-                codes=aggregate.codes,
-                support=aggregate.support,
-                anomalous_support=aggregate.anomalous_support,
-                v_sum=kernels.weighted_bincount(keys, dataset.v, capacity)[
-                    occupied
-                ],
-                f_sum=kernels.weighted_bincount(keys, dataset.f, capacity)[
-                    occupied
-                ],
-            )
+        return clone, len(keys)
 
     # -- bookkeeping -------------------------------------------------------
 

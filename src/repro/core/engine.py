@@ -15,13 +15,18 @@ scan per combination.  :class:`AggregationEngine` shares that work:
   ranking, explanation, the service pipeline, the baselines, and —
   crucially — threshold-sensitivity sweeps that re-run the search many
   times over one interval).
-* **Fused, batched bincount** — all uncached cuboids of one BFS layer
-  are aggregated together: their key spaces are disjoint after
-  offsetting, so one ``np.bincount`` per lane over the concatenated keys
-  replaces four bincounts per cuboid.  Support and anomalous support use
-  the integer fast path (anomalous rows are counted directly instead of
-  weighting the whole table); roll-ups and warm label refreshes use a
-  stacked-weights bincount that folds their lanes into a single pass.
+* **Count-only, fused, batched bincount** — all uncached cuboids of one
+  BFS layer are aggregated together: their key spaces are disjoint after
+  offsetting, so one ``np.bincount`` over the concatenated keys yields
+  every cuboid's support, and one over the anomalous rows' keys every
+  anomalous support.  Roll-ups fold both count lanes into a single
+  stacked-weights pass.
+* **Lazy value lanes** — CP and the search read counts only, so the
+  ``v``/``f`` sums are not computed with them.  Each engine-built
+  aggregate carries a :class:`LaneSpec` instead and computes a lane on
+  its first read (the Adtributor baseline, derived KPIs): one weighted
+  bincount over the cuboid's leaf keys in leaf-row order, which is
+  bitwise what an eager cold pass returns on every resolution path.
 * **Layer roll-ups** — once a *base* cuboid over a searched attribute set
   is aggregated (``G`` occupied groups), every sub-cuboid is computed by
   grouping those ``G`` rows instead of the ``N`` leaves.  The cuboid
@@ -30,8 +35,7 @@ scan per combination.  :class:`AggregationEngine` shares that work:
   source; bases are only materialized when their group capacity is
   strictly below the leaf count, i.e. when rolling up is a guaranteed win
   (typical after Algorithm 1 deletes attributes).  Counts are
-  integer-exact either way; ``v``/``f`` sums may differ from the naive
-  path by float summation order only.
+  integer-exact either way.
 * **Inverted index** — lazily built per ``(attribute, element-code)``
   posting lists of leaf rows, so a combination's covered rows come from
   sorted-array intersections instead of repeated full-table masks.
@@ -78,6 +82,7 @@ __all__ = [
     "AggregationEngine",
     "NaiveAggregationEngine",
     "CandidateIndex",
+    "LaneSpec",
     "engine_for",
     "install_engine",
     "release_engine",
@@ -136,6 +141,46 @@ class _CuboidShape:
     support: np.ndarray
     #: Element codes per occupied group, shape (G, d).
     codes: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LaneSpec:
+    """How an engine-built aggregate computes its ``v``/``f`` sums on read.
+
+    Holds arrays only, never the engine or the dataset: an aggregate that
+    referenced its engine would close an engine -> aggregate -> engine
+    cycle, and a retired engine would then wait for the cyclic collector
+    instead of being freed by reference counting.  Picklable on its own.
+    """
+
+    #: Leaf code matrix, shape (n_rows, n_attributes).
+    codes: np.ndarray
+    #: The cuboid's attribute columns and their row-major strides.
+    columns: Tuple[int, ...]
+    strides: Tuple[int, ...]
+    capacity: int
+    #: Flat keys of the occupied groups, ascending.
+    occupied: np.ndarray
+    v: np.ndarray
+    f: np.ndarray
+    #: The cuboid's leaf keys, when the engine had them cached.
+    keys: Optional[np.ndarray] = None
+
+    def _lane(self, weights: np.ndarray) -> np.ndarray:
+        keys = self.keys
+        if keys is None:
+            keys = self.codes[:, self.columns[0]] * self.strides[0]
+            for column, stride in zip(self.columns[1:], self.strides[1:]):
+                keys = keys + self.codes[:, column] * stride
+        if _trace.ACTIVE:
+            obs.inc("engine_bincount_passes_total", kind="lane")
+        return kernels.weighted_bincount(keys, weights, self.capacity)[self.occupied]
+
+    def v_sum(self) -> np.ndarray:
+        return self._lane(self.v)
+
+    def f_sum(self) -> np.ndarray:
+        return self._lane(self.f)
 
 
 class AggregationEngine:
@@ -239,18 +284,31 @@ class AggregationEngine:
             self._label_rows = np.flatnonzero(self.dataset.labels)
         return self._label_rows
 
+    def _lanes(self, indices: Tuple[int, ...], occupied: np.ndarray) -> LaneSpec:
+        """The lazy ``v``/``f`` recipe of one cuboid over this dataset."""
+        dataset = self.dataset
+        __, strides, capacity = self._geometry(indices)
+        return LaneSpec(
+            codes=dataset.codes,
+            columns=indices,
+            strides=tuple(strides),
+            capacity=capacity,
+            occupied=occupied,
+            v=dataset.v,
+            f=dataset.f,
+            keys=self._keys.get(indices),
+        )
+
     # -- fused aggregation -----------------------------------------------------
 
     def _aggregate_batch(self, cuboids: Sequence[Cuboid]) -> None:
-        """Aggregate several uncached cuboids in one set of batched passes.
+        """Count several uncached cuboids in one set of batched passes.
 
         Each cuboid's linear keys are shifted into a disjoint range, so
-        bincounts over the concatenated keys yield every cuboid's lanes at
-        once: support via the integer fast path, anomalous support by
-        counting only the anomalous rows' keys, and ``v``/``f`` via two
-        weighted passes.  Per-bucket additions still happen in leaf-row
-        order, so the results are bitwise identical to aggregating each
-        cuboid alone.
+        bincounts over the concatenated keys yield every cuboid's counts
+        at once: support via the integer fast path and anomalous support
+        by counting only the anomalous rows' keys.  The ``v``/``f`` lanes
+        are left to each aggregate's :class:`LaneSpec`.
         """
         dataset = self.dataset
         n_blocks = len(cuboids)
@@ -269,15 +327,14 @@ class AggregationEngine:
             metas.append((cuboid, offset, capacity, sizes))
             offset += capacity
         label_rows = self._anomalous_rows()
-        support_all, anomalous_all, v_all, f_all = kernels.fused_batch(
-            dataset.codes, stride_matrix, offsets, offset, label_rows,
-            dataset.v, dataset.f,
+        support_all, anomalous_all = kernels.fused_batch(
+            dataset.codes, stride_matrix, offsets, offset, label_rows
         )
         if _trace.ACTIVE:
             obs.inc("engine_batch_cuboids_total", n_blocks)
             obs.inc(
                 "engine_bincount_passes_total",
-                4 if label_rows.size else 3,
+                2 if label_rows.size else 1,
                 kind="batched",
             )
         for cuboid, start, capacity, sizes in metas:
@@ -298,8 +355,7 @@ class AggregationEngine:
                 anomalous_support=anomalous_all[start:end][occupied].astype(
                     np.int64, copy=False
                 ),
-                v_sum=v_all[start:end][occupied],
-                f_sum=f_all[start:end][occupied],
+                lanes=self._lanes(cuboid.attribute_indices, occupied),
             )
             key = cuboid.attribute_indices
             if key not in self._shapes:
@@ -361,9 +417,8 @@ class AggregationEngine:
         """Smallest prepared base strictly containing *indices* (or None).
 
         Restricted to :meth:`prepare`-seeded bases — not arbitrary cached
-        supersets — so the roll-up source (and thus the float summation
-        order of ``v``/``f``) never depends on cache-population timing
-        under parallel layer fan-out.
+        supersets — so the resolution path never depends on
+        cache-population timing under parallel layer fan-out.
         """
         if not self._bases:
             return None
@@ -376,7 +431,7 @@ class AggregationEngine:
         return best
 
     def _rollup(self, cuboid: Cuboid, source: CuboidAggregate) -> CuboidAggregate:
-        """Aggregate *cuboid* by grouping the rows of a superset aggregate."""
+        """Count *cuboid* by grouping the rows of a superset aggregate."""
         indices = cuboid.attribute_indices
         positions = [source.cuboid.attribute_indices.index(i) for i in indices]
         sizes, strides, capacity = self._geometry(indices)
@@ -387,12 +442,7 @@ class AggregationEngine:
             obs.inc("engine_bincount_passes_total", kind="fused")
         totals = kernels.fused_bincount(
             keys,
-            (
-                source.support.astype(float),
-                source.anomalous_support.astype(float),
-                source.v_sum,
-                source.f_sum,
-            ),
+            (source.support.astype(float), source.anomalous_support.astype(float)),
             capacity,
         )
         occupied = np.flatnonzero(totals[:, 0])
@@ -406,8 +456,7 @@ class AggregationEngine:
             codes=codes,
             support=np.rint(totals[occupied, 0]).astype(np.int64),
             anomalous_support=np.rint(totals[occupied, 1]).astype(np.int64),
-            v_sum=totals[occupied, 2],
-            f_sum=totals[occupied, 3],
+            lanes=self._lanes(indices, occupied),
         )
 
     def aggregate(self, cuboid: Cuboid) -> CuboidAggregate:
@@ -415,13 +464,9 @@ class AggregationEngine:
 
         Resolution order: cached aggregate -> label refresh of a warm
         shape -> roll-up from a prepared base -> fused bincount over the
-        leaves.  The returned combinations, supports and anomalous
-        supports are identical to the naive path; ``v``/``f`` sums are
-        equal up to float summation order when a roll-up was used.  The
-        warm refresh deliberately outranks the roll-up: it reproduces the
-        leaf-level summation order of a cold engine, so a warm-clone
-        chain (the batch execution layer's per-worker engines) returns
-        bitwise-identical aggregates to a cold run.
+        leaves.  Every path returns the naive path's combinations and
+        counts, and ``v``/``f`` lanes that compute, when read, bitwise
+        what a cold leaf-level pass returns.
         """
         indices = cuboid.attribute_indices
         aggregate = self._aggregates.get(indices)
@@ -432,16 +477,11 @@ class AggregationEngine:
         shape = self._shapes.get(indices)
         if shape is not None:
             # Warm path (cloned engine): occupancy and support survive a
-            # label/value refresh — they depend only on the codes.  Checked
-            # *before* the roll-up so a warm refresh reproduces the same
-            # leaf-level summation order a cold engine's batched pass uses:
-            # anomalous support is counted over the anomalous rows' keys
-            # (integer-exact) and v/f come from one weighted bincount each,
-            # making warm-clone aggregates bitwise equal to cold ones.
+            # label/value refresh — they depend only on the codes — so only
+            # the anomalous rows' keys are counted.
             if _trace.ACTIVE:
                 obs.inc("engine_aggregate_total", path="warm_refresh")
-                obs.inc("engine_bincount_passes_total", 3, kind="warm_refresh")
-            dataset = self.dataset
+                obs.inc("engine_bincount_passes_total", kind="warm_refresh")
             keys, capacity = self.linear_keys(cuboid)
             label_rows = self._anomalous_rows()
             if label_rows.size:
@@ -452,16 +492,11 @@ class AggregationEngine:
                 anomalous = np.zeros(shape.occupied.size, dtype=np.int64)
             aggregate = CuboidAggregate(
                 cuboid=cuboid,
-                schema=dataset.schema,
+                schema=self.dataset.schema,
                 codes=shape.codes,
                 support=shape.support,
                 anomalous_support=anomalous.astype(np.int64, copy=False),
-                v_sum=kernels.weighted_bincount(keys, dataset.v, capacity)[
-                    shape.occupied
-                ],
-                f_sum=kernels.weighted_bincount(keys, dataset.f, capacity)[
-                    shape.occupied
-                ],
+                lanes=self._lanes(indices, shape.occupied),
             )
             self._aggregates[indices] = aggregate
             return aggregate
@@ -470,10 +505,10 @@ class AggregationEngine:
             if _trace.ACTIVE:
                 obs.inc("engine_aggregate_total", path="rollup")
             aggregate = self._rollup(cuboid, source)
-            __, strides, __ = self._geometry(indices)
-            occupied = (aggregate.codes * strides).sum(axis=1)
             self._shapes[indices] = _CuboidShape(
-                occupied=occupied, support=aggregate.support, codes=aggregate.codes
+                occupied=aggregate.lanes.occupied,
+                support=aggregate.support,
+                codes=aggregate.codes,
             )
             self._aggregates[indices] = aggregate
             return aggregate
@@ -487,7 +522,7 @@ class AggregationEngine:
     ) -> CuboidAggregate:
         """The cuboid aggregate under an alternative label vector.
 
-        Support, occupancy, codes and the ``v``/``f`` sums are label
+        Support, occupancy, codes and the ``v``/``f`` lanes are label
         independent and come from the shared cache; only the anomalous
         support is recomputed (one bincount over the cached keys).  This
         is what lets Squeeze score many deviation clusters against one
@@ -507,8 +542,7 @@ class AggregationEngine:
             codes=base.codes,
             support=base.support,
             anomalous_support=np.rint(anomalous).astype(np.int64),
-            v_sum=base.v_sum,
-            f_sum=base.f_sum,
+            lanes=base.lanes,
         )
 
     def layer_aggregates(

@@ -233,7 +233,7 @@ class StreamingRAPMiner:
         miner (deadline and degradation defaults apply per tick).
     delta:
         :class:`~repro.core.delta.DeltaConfig` steering the session
-        (crossover threshold, re-base cadence).
+        (crossover threshold).
     """
 
     name = "StreamingRAPMiner"
@@ -257,7 +257,7 @@ class StreamingRAPMiner:
 
     @property
     def stats(self) -> DeltaStats:
-        """The session's tick mix (patched vs cold, re-bases, churn)."""
+        """The session's tick mix (patched vs cold, churn)."""
         return self.session.stats
 
     def reset(self) -> None:

@@ -1,9 +1,13 @@
 """The aggregation kernels: every counting pass over the leaf table.
 
-CP (Eq. 1) and Anomaly Confidence are per-group support and
-anomalous-support counts, and the ranking adds ``v``/``f`` sums.  The
-serial, stacked and streaming engines get all of them from the seven
-functions below, which share one contract:
+CP (Eq. 1) and Anomaly Confidence read per-group support and
+anomalous-support counts and nothing else, so the hot passes are
+count-only: :func:`fused_batch` counts every cuboid of a layer at once
+and :func:`delta_patch` patches the anomalous counts of a streaming tick.
+The ``v``/``f`` sums that the Adtributor baseline and derived KPIs read
+are one :func:`weighted_bincount` per lane, run when an aggregate's lane
+is first read.  The serial, stacked and streaming engines get all of
+this from the seven functions below, which share one contract:
 
 * **int64 keys.**  A cuboid's linear key is ``sum(code[a] * stride[a])``
   with row-major strides, in ``[0, capacity)``; ``np.bincount`` promotes
@@ -19,7 +23,7 @@ functions below, which share one contract:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +73,8 @@ def fused_batch(
     offsets: np.ndarray,
     total: int,
     label_rows: np.ndarray,
-    v: np.ndarray,
-    f: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ``(support, anomalous, v_sum, f_sum)`` of one batched pass.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ``(support, anomalous)`` counts of one batched pass.
 
     ``stride_matrix`` is ``(n_attrs, n_blocks)`` with column ``j``
     holding cuboid ``j``'s strides; ``offsets`` shifts each cuboid's
@@ -90,11 +92,7 @@ def fused_batch(
         anomalous = np.bincount(anomalous_keys, minlength=total)
     else:
         anomalous = np.zeros(total, dtype=np.int64)
-    v_tiled = v if n_blocks == 1 else np.tile(v, n_blocks)
-    f_tiled = f if n_blocks == 1 else np.tile(f, n_blocks)
-    v_sum = np.bincount(combined, weights=v_tiled, minlength=total)
-    f_sum = np.bincount(combined, weights=f_tiled, minlength=total)
-    return support, anomalous, v_sum, f_sum
+    return support, anomalous
 
 
 def fused_bincount(
@@ -198,30 +196,14 @@ def delta_patch(
     total: int,
     gained: np.ndarray,
     lost: np.ndarray,
-    v_delta: np.ndarray,
-    f_delta: np.ndarray,
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Dense deltas of one streaming patch over the changed rows only.
+) -> np.ndarray:
+    """Dense anomalous-count delta (int64) of one streaming patch.
 
-    Returns ``(anomalous_delta | None, v_dense, f_dense)``;
-    ``anomalous_delta`` is ``None`` when no label flipped.
+    ``codes`` holds the changed rows; ``gained`` and ``lost`` are
+    boolean masks over them marking the rows whose label turned
+    anomalous and normal.  Only label flips move a count, so a tick
+    without any needs no call at all.
     """
-    n_blocks = stride_matrix.shape[1]
-    combined = codes @ stride_matrix + offsets
-    flat = combined.T.ravel()
-    anomalous_delta: Optional[np.ndarray] = None
-    if gained.any() or lost.any():
-        anomalous_delta = np.zeros(total, dtype=np.int64)
-        if gained.any():
-            anomalous_delta += np.bincount(
-                combined[gained].T.ravel(), minlength=total
-            )
-        if lost.any():
-            anomalous_delta -= np.bincount(
-                combined[lost].T.ravel(), minlength=total
-            )
-    v_tiled = v_delta if n_blocks == 1 else np.tile(v_delta, n_blocks)
-    f_tiled = f_delta if n_blocks == 1 else np.tile(f_delta, n_blocks)
-    v_dense = np.bincount(flat, weights=v_tiled, minlength=total)
-    f_dense = np.bincount(flat, weights=f_tiled, minlength=total)
-    return anomalous_delta, v_dense, f_dense
+    gain = (codes[gained] @ stride_matrix + offsets).ravel()
+    loss = (codes[lost] @ stride_matrix + offsets).ravel()
+    return np.bincount(gain, minlength=total) - np.bincount(loss, minlength=total)

@@ -31,11 +31,12 @@ matrices and computes cuboid aggregates for **all cases at once**:
   order, so per-bucket float additions happen in exactly the order a
   cold per-case engine uses — the results are **bitwise identical** to
   per-case aggregation, not merely close.
-* **Stacked Classification Power** — Algorithm 1's per-attribute
-  bincounts are layer-1 cuboid aggregates, so one stacked pass yields
-  every case's CP inputs; the scalar entropy math then replays the exact
-  serial expressions per case, keeping the kept/deleted decision
-  bit-identical to :func:`~repro.core.classification_power.delete_redundant_attributes`.
+* **Stacked Classification Power** — Algorithm 1's per-attribute counts
+  are layer-1 cuboid aggregates (in the serial path too), so one stacked
+  pass yields every case's CP inputs; the entropy math is the serial
+  path's elementwise helper over the same layout, keeping the CP values
+  and the kept/deleted decision bit-identical to
+  :func:`~repro.core.classification_power.delete_redundant_attributes`.
 
 The batched top-down search
 (:func:`repro.core.search.batched_layerwise_topdown_search`) drives this
@@ -70,7 +71,8 @@ from .attribute import AttributeCombination
 from .classification_power import (
     AttributeDeletionResult,
     binary_entropy,
-    cp_powers_from_counts,
+    cp_from_info,
+    cp_terms,
     partition_attributes,
 )
 from .cuboid import Cuboid
@@ -416,36 +418,39 @@ class StackedCaseEngine:
         """CP of every attribute for every case, shape ``(n_cases, n_attributes)``.
 
         The per-attribute support/anomalous counts are layer-1 cuboid
-        aggregates and come from one stacked pass;
-        the entropy reduction is the shared batch-invariant
-        :func:`~repro.core.classification_power.cp_powers_from_counts`,
-        so every CP value is bitwise equal to the serial
-        :func:`~repro.core.classification_power.classification_power`.
+        aggregates and come from one stacked pass.  They are laid out as
+        the serial :func:`~repro.core.classification_power.all_classification_powers`
+        lays them out — one full-size slot per attribute — with one row
+        per case, and go through the same elementwise
+        :func:`~repro.core.classification_power.cp_terms` and per-slot
+        ``np.sum``, so every CP value is bitwise equal to the serial one.
         """
         n = self.n_rows
         n_attributes = self.schema.n_attributes
-        powers = np.zeros((self.n_cases, n_attributes))
         if n == 0:
-            return powers
+            return np.zeros((self.n_cases, n_attributes))
         slots = list(range(self.n_cases))
         cuboids = [Cuboid((i,)) for i in range(n_attributes)]
         layer = self.layer_counts(cuboids, slots)
         info_d = np.array(
             [binary_entropy(self.n_anomalous(slot) / n) for slot in slots]
         )
-        for attr_index, entry in enumerate(layer):
-            size = self.schema.size(attr_index)
-            shape = self._shapes[(attr_index,)]
-            # cp_powers_from_counts expects full-capacity arrays (zeros
-            # at unoccupied codes); scatter the shared counts back.
-            support = np.zeros(size)
-            support[shape.occupied] = shape.support
-            anomalous = np.zeros((len(slots), size))
-            anomalous[:, shape.occupied] = entry.anomalous
-            powers[:, attr_index] = cp_powers_from_counts(
-                support, anomalous, n, info_d
-            )
-        return powers
+        bounds = np.cumsum([0, *self.schema.sizes])
+        support = np.zeros(bounds[-1])
+        anomalous = np.zeros((len(slots), bounds[-1]))
+        for start, entry in zip(bounds, layer):
+            columns = start + entry.codes[:, 0]
+            support[columns] = entry.support
+            anomalous[:, columns] = entry.anomalous
+        terms = cp_terms(support, anomalous, n)
+        info_attr = np.stack(
+            [
+                np.sum(terms[:, bounds[i] : bounds[i + 1]], axis=-1)
+                for i in range(n_attributes)
+            ],
+            axis=1,
+        )
+        return cp_from_info(info_d[:, None], info_attr)
 
     def attribute_deletions(self, t_cp: float) -> List[AttributeDeletionResult]:
         """Algorithm 1 for every case, from one stacked CP pass.

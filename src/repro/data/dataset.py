@@ -15,7 +15,6 @@ are vectorized numpy operations rather than Python scans.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +35,6 @@ def deviation(v: np.ndarray, f: np.ndarray, epsilon: float = EPSILON) -> np.ndar
     return (f - v) / (f + epsilon)
 
 
-@dataclass
 class CuboidAggregate:
     """Per-combination aggregates of a cuboid, computed over the leaf table.
 
@@ -44,20 +42,57 @@ class CuboidAggregate:
     describes one attribute combination of the cuboid that actually occurs
     in the data: its leaf support, anomalous-leaf support, and the summed
     actual/forecast values (the additive aggregation of Fig. 4).
+
+    The counts are always given.  The ``v``/``f`` sums are either given
+    too, or computed on first read from *lanes*: a recipe the aggregation
+    engine attaches (:class:`repro.core.engine.LaneSpec`) whose
+    ``v_sum()``/``f_sum()`` each run one weighted bincount over the leaf
+    rows.  RAPMiner's two stages read counts only, so on its hot path the
+    float lanes are never computed.
     """
 
-    cuboid: Cuboid
-    schema: AttributeSchema
-    #: shape (G, d): element codes of the cuboid's specified attributes.
-    codes: np.ndarray
-    #: shape (G,): number of leaf rows per combination.
-    support: np.ndarray
-    #: shape (G,): number of anomalous leaf rows per combination.
-    anomalous_support: np.ndarray
-    #: shape (G,): sum of actual values per combination.
-    v_sum: np.ndarray
-    #: shape (G,): sum of forecast values per combination.
-    f_sum: np.ndarray
+    def __init__(
+        self,
+        cuboid: Cuboid,
+        schema: AttributeSchema,
+        codes: np.ndarray,
+        support: np.ndarray,
+        anomalous_support: np.ndarray,
+        v_sum: Optional[np.ndarray] = None,
+        f_sum: Optional[np.ndarray] = None,
+        lanes=None,
+    ):
+        if lanes is None and (v_sum is None or f_sum is None):
+            raise ValueError("CuboidAggregate needs v_sum and f_sum, or lanes")
+        self.cuboid = cuboid
+        self.schema = schema
+        #: shape (G, d): element codes of the cuboid's specified attributes.
+        self.codes = codes
+        #: shape (G,): number of leaf rows per combination.
+        self.support = support
+        #: shape (G,): number of anomalous leaf rows per combination.
+        self.anomalous_support = anomalous_support
+        #: Recipe for the lanes not given (``None`` when both were).
+        self.lanes = lanes
+        # Given lanes land in the instance dict, where the cached
+        # properties below find them without computing anything.
+        if v_sum is not None:
+            self.v_sum = v_sum
+        if f_sum is not None:
+            self.f_sum = f_sum
+
+    @functools.cached_property
+    def v_sum(self) -> np.ndarray:
+        """shape (G,): sum of actual values per combination."""
+        return self.lanes.v_sum()
+
+    @functools.cached_property
+    def f_sum(self) -> np.ndarray:
+        """shape (G,): sum of forecast values per combination."""
+        return self.lanes.f_sum()
+
+    def __repr__(self) -> str:
+        return f"CuboidAggregate(cuboid={self.cuboid!r}, groups={len(self)})"
 
     def __len__(self) -> int:
         return len(self.support)

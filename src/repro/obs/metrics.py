@@ -69,7 +69,6 @@ METRIC_HELP: Dict[str, str] = {
     "delta_changed_rows_total": "Changed leaf rows consumed by the patch kernel",
     "delta_patched_cuboids_total": "Cached cuboid aggregates patched in place",
     "delta_patch_seconds_total": "Seconds spent diffing and patching aggregates",
-    "delta_rebase_total": "Float-lane re-bases by reason (scheduled vs drift)",
     "delta_changed_fraction": "Changed-leaf fraction of the latest tick",
     "delta_crossover_threshold": "Effective patched-vs-cold crossover threshold",
     # -- localization service ----------------------------------------------

@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.classification_power import (
     all_classification_powers,
@@ -11,7 +13,10 @@ from repro.core.classification_power import (
     classification_power,
     delete_redundant_attributes,
 )
+from repro.core.delta import DeltaConfig, DeltaSession
+from repro.core.stacked import StackedCaseEngine
 from repro.data.dataset import FineGrainedDataset
+from repro.data.schema import schema_from_sizes
 from tests.conftest import make_labelled_dataset
 
 
@@ -118,3 +123,99 @@ class TestAlgorithm1:
         small = delete_redundant_attributes(ds, t_cp=0.001)
         large = delete_redundant_attributes(ds, t_cp=0.2)
         assert set(large.kept_indices) <= set(small.kept_indices)
+
+
+# -- independent oracle ---------------------------------------------------------
+
+
+def oracle_powers(codes, labels, sizes):
+    """Eq. 1 in plain Python: dict counts per element, ``math.log``."""
+
+    def entropy(anomalous, total):
+        p = anomalous / total
+        return -sum(q * math.log(q) for q in (p, 1.0 - p) if q > 0.0)
+
+    n = len(labels)
+    info_d = entropy(sum(labels), n)
+    powers = []
+    for attr in range(len(sizes)):
+        support, anomalous = {}, {}
+        for row, label in zip(codes, labels):
+            element = row[attr]
+            support[element] = support.get(element, 0) + 1
+            anomalous[element] = anomalous.get(element, 0) + label
+        info_attr = sum(
+            count / n * entropy(anomalous[element], count)
+            for element, count in support.items()
+        )
+        powers.append(0.0 if info_d == 0.0 else (info_d - info_attr) / info_d)
+    return powers
+
+
+@st.composite
+def labelled_tables(draw):
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    n_rows = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.stack([rng.integers(0, size, n_rows) for size in sizes], axis=1)
+    labels = rng.random(n_rows) < draw(st.floats(0.0, 1.0))
+    dataset = FineGrainedDataset(
+        schema_from_sizes(sizes), codes, rng.random(n_rows), rng.random(n_rows), labels
+    )
+    return dataset, codes.tolist(), [bool(x) for x in labels], sizes
+
+
+class TestIndependentOracle:
+    @given(labelled_tables(), st.floats(0.0, 0.5))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_pure_python_eq1(self, table, t_cp):
+        dataset, codes, labels, sizes = table
+        want = oracle_powers(codes, labels, sizes)
+        got = all_classification_powers(dataset)
+        names = dataset.schema.names
+        for name, expected in zip(names, want):
+            # CP lies in [0, 1]: the absolute floor is the relative
+            # tolerance at the top of that range, for CPs that cancel to ~0.
+            assert math.isclose(got[name], expected, rel_tol=1e-12, abs_tol=1e-12)
+        if any(abs(cp - t_cp) < 1e-9 for cp in want):
+            return  # a t_cp tie: either side is within rounding
+        kept = {i for i, cp in enumerate(want) if cp > t_cp} or set(range(len(sizes)))
+        result = delete_redundant_attributes(dataset, t_cp)
+        assert set(result.kept_indices) == kept
+        assert set(result.deleted_indices) == set(range(len(sizes))) - kept
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_bitwise_equal_across_serial_stacked_and_delta(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(s) for s in rng.integers(2, 9, size=int(rng.integers(2, 5)))]
+        schema = schema_from_sizes(sizes)
+        n_rows = int(rng.integers(20, 200))
+        codes = np.stack([rng.integers(0, s, n_rows) for s in sizes], axis=1)
+        v = rng.random(n_rows)
+        labels = rng.random(n_rows) < 0.2
+        ticks = []
+        for _ in range(6):
+            labels = labels.copy()
+            flips = rng.choice(n_rows, size=int(rng.integers(0, 4)), replace=False)
+            labels[flips] = ~labels[flips]
+            ticks.append(FineGrainedDataset(schema, codes, v, rng.random(n_rows), labels))
+
+        def bits(powers):
+            return np.array([powers[name] for name in schema.names]).view(np.int64)
+
+        serial = [
+            bits(
+                all_classification_powers(
+                    FineGrainedDataset(schema, codes.copy(), t.v, t.f, t.labels)
+                )
+            )
+            for t in ticks
+        ]
+        stacked = StackedCaseEngine(ticks).classification_powers().view(np.int64)
+        session = DeltaSession(DeltaConfig(crossover=1.0))
+        for index, tick in enumerate(ticks):
+            path = session.begin_tick(tick).path
+            assert path == ("cold" if index == 0 else "patched")
+            np.testing.assert_array_equal(bits(all_classification_powers(tick)), serial[index])
+            np.testing.assert_array_equal(stacked[index], serial[index])

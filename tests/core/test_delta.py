@@ -1,5 +1,8 @@
 """Tests for the streaming delta session (patch-in-place aggregation)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,46 +125,88 @@ class TestEquivalence:
             assert_bit_identical(produced, stateless_candidates(tick_data))
         assert miner.stats.patched_ticks == len(ticks) - 1
 
-    def test_scheduled_rebase_restores_cold_float_lanes(self, schema):
-        from repro.core.engine import engine_for
+    def test_value_lanes_bitwise_equal_cold_on_every_tick(self, schema, monkeypatch):
+        from repro.core import kernels
+        from repro.core.engine import AggregationEngine
 
-        # 7 ticks = 6 patched; rebase_every=3 fires after patched ticks
-        # 3 and 6, so the final engine has freshly re-based float lanes.
-        ticks = make_ticks(schema, ["(e0_0, *, *)"], 7)
-        miner = StreamingRAPMiner(
-            CONFIG, delta=DeltaConfig(crossover=0.5, rebase_every=3)
+        calls = []
+        delta_patch = kernels.delta_patch
+        monkeypatch.setattr(
+            kernels,
+            "delta_patch",
+            lambda *args: calls.append(1) or delta_patch(*args),
         )
-        for tick_data in ticks:
+        ticks = make_flipping_ticks(schema, 8)
+        miner = StreamingRAPMiner(CONFIG, delta=DeltaConfig(crossover=0.5))
+        flips = 0
+        for previous, tick_data in zip([None] + ticks, ticks):
             miner.run(tick_data)
-        assert miner.stats.rebases == 2
-        assert miner.session._since_rebase == 0
-        warm = miner.session._engine
-        last = ticks[-1]
-        rebuilt = FineGrainedDataset(
-            schema, last.codes.copy(), last.v, last.f, last.labels
-        )
-        RAPMiner(CONFIG).run(rebuilt)
-        cold = engine_for(rebuilt)
-        shared = set(warm._aggregates) & set(cold._aggregates)
-        assert shared  # both searched the same lattice
-        for indices in shared:
-            np.testing.assert_array_equal(
-                warm._aggregates[indices].v_sum, cold._aggregates[indices].v_sum
+            if previous is None:
+                continue
+            assert miner.stats.last_path == "patched"
+            flips += bool((previous.labels != tick_data.labels).any())
+            # Only a label flip runs the patch kernel.
+            assert len(calls) == flips
+            warm = miner.session._engine
+            rebuilt = FineGrainedDataset(
+                schema, tick_data.codes.copy(), tick_data.v, tick_data.f,
+                tick_data.labels,
             )
-            np.testing.assert_array_equal(
-                warm._aggregates[indices].f_sum, cold._aggregates[indices].f_sum
-            )
+            cold = AggregationEngine(rebuilt)
+            assert warm._aggregates
+            for aggregate in warm._aggregates.values():
+                cuboid = aggregate.cuboid
+                for want in (cold.aggregate(cuboid), rebuilt.aggregate(cuboid)):
+                    for lane in ("v_sum", "f_sum"):
+                        np.testing.assert_array_equal(
+                            getattr(aggregate, lane).view(np.int64),
+                            getattr(want, lane).view(np.int64),
+                        )
+                    np.testing.assert_array_equal(
+                        aggregate.anomalous_support, want.anomalous_support
+                    )
+        assert 0 < flips < len(ticks) - 1  # both kinds of patched tick ran
 
-    def test_drift_rebase_triggers_on_tight_tolerance(self, schema):
-        ticks = make_ticks(schema, ["(e0_0, *, *)"], 6)
-        miner = StreamingRAPMiner(
-            CONFIG,
-            delta=DeltaConfig(crossover=0.5, rebase_every=1000, drift_rtol=1e-300),
+
+def make_flipping_ticks(schema, n_ticks):
+    """Ticks of one incident where every other tick flips some labels."""
+    ticks = make_ticks(schema, ["(e0_0, *, *)"], n_ticks, seed=5)
+    rng = np.random.default_rng(9)
+    labels = ticks[0].labels
+    flipping = []
+    for index, tick in enumerate(ticks):
+        if index % 2:
+            labels = labels.copy()
+            rows = rng.choice(tick.n_rows, size=3, replace=False)
+            labels[rows] = ~labels[rows]
+        flipping.append(
+            FineGrainedDataset(schema, tick.codes, tick.v, tick.f, labels)
         )
-        for tick_data in ticks:
-            produced = miner.run(tick_data).candidates
-            assert_bit_identical(produced, stateless_candidates(tick_data))
-        assert miner.stats.drift_rebases >= 1
+    return flipping
+
+
+class TestEngineRelease:
+    def test_retired_engines_freed_by_reference_counting(self, schema):
+        ticks = make_flipping_ticks(schema, 5)
+        miner = StreamingRAPMiner(CONFIG, delta=DeltaConfig(crossover=0.5))
+        retired = []
+        gc.collect()
+        gc.disable()
+        try:
+            for tick_data in ticks:
+                miner.run(tick_data)
+                engine = miner.session._engine
+                # Read the lazy lanes too: they must not tie the engine.
+                for aggregate in engine._aggregates.values():
+                    aggregate.v_sum, aggregate.f_sum
+                retired.append(weakref.ref(engine))
+                del engine
+            alive = [ref() is not None for ref in retired]
+        finally:
+            gc.enable()
+        # Every engine but the session's current one is gone, although
+        # the caller still holds every tick's dataset.
+        assert alive == [False] * (len(ticks) - 1) + [True]
 
 
 class TestLayoutChange:
@@ -263,11 +308,3 @@ class TestConfigValidation:
     def test_auto_initial_within_bounds(self):
         with pytest.raises(ValueError):
             DeltaConfig(auto_initial=0.9, auto_bounds=(0.1, 0.5))
-
-    def test_rebase_period_positive(self):
-        with pytest.raises(ValueError):
-            DeltaConfig(rebase_every=0)
-
-    def test_drift_rtol_positive(self):
-        with pytest.raises(ValueError):
-            DeltaConfig(drift_rtol=0.0)

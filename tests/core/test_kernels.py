@@ -108,17 +108,14 @@ def test_fused_batch(table, label_p):
     sizes, codes, cuboids, rng = table
     n_rows = codes.shape[0]
     labels = rng.random(n_rows) < label_p
-    v, f = spread_floats(rng, n_rows), spread_floats(rng, n_rows)
     stride_matrix, offsets, total = plan(sizes, cuboids)
-    support, anomalous, v_sum, f_sum = kernels.fused_batch(
-        codes, stride_matrix, offsets, total, np.flatnonzero(labels), v, f
+    support, anomalous = kernels.fused_batch(
+        codes, stride_matrix, offsets, total, np.flatnonzero(labels)
     )
     assert_bitwise(support, reference_lanes(codes, sizes, cuboids))
     assert_bitwise(
         anomalous, reference_lanes(codes, sizes, cuboids, rows=labels)
     )
-    assert_bitwise(v_sum, reference_lanes(codes, sizes, cuboids, weights=v))
-    assert_bitwise(f_sum, reference_lanes(codes, sizes, cuboids, weights=f))
 
 
 @given(tables(), st.integers(1, 4))
@@ -206,24 +203,14 @@ def test_delta_patch(table, flip_p):
     flips = rng.random(n_rows) < flip_p
     gained = flips & (rng.random(n_rows) < 0.5)
     lost = flips & ~gained
-    v_delta, f_delta = spread_floats(rng, n_rows), spread_floats(rng, n_rows)
     stride_matrix, offsets, total = plan(sizes, cuboids)
-    anomalous, v_dense, f_dense = kernels.delta_patch(
-        codes, stride_matrix, offsets, total, gained, lost, v_delta, f_delta
-    )
-    if flips.any():
-        assert_bitwise(
-            anomalous,
-            reference_lanes(codes, sizes, cuboids, rows=gained)
-            - reference_lanes(codes, sizes, cuboids, rows=lost),
-        )
-    else:
-        assert anomalous is None
-    assert_bitwise(
-        v_dense, reference_lanes(codes, sizes, cuboids, weights=v_delta)
+    anomalous = kernels.delta_patch(
+        codes, stride_matrix, offsets, total, gained, lost
     )
     assert_bitwise(
-        f_dense, reference_lanes(codes, sizes, cuboids, weights=f_delta)
+        anomalous,
+        reference_lanes(codes, sizes, cuboids, rows=gained)
+        - reference_lanes(codes, sizes, cuboids, rows=lost),
     )
 
 
@@ -259,11 +246,9 @@ def test_zero_rows():
     sizes, cuboids = (3, 2), [(0,), (1,), (0, 1)]
     codes = np.zeros((0, 2), dtype=np.int64)
     stride_matrix, offsets, total = plan(sizes, cuboids)
-    lanes = kernels.fused_batch(
-        codes, stride_matrix, offsets, total, empty, np.zeros(0), np.zeros(0)
-    )
-    # All four lanes are np.bincount's empty-input zeros (int64), exactly
-    # as one bincount per cuboid returns them.
+    lanes = kernels.fused_batch(codes, stride_matrix, offsets, total, empty)
+    # Both lanes are np.bincount's empty-input zeros (int64), exactly as
+    # one bincount per cuboid returns them.
     for lane in lanes:
         assert_bitwise(lane, reference_lanes(codes, sizes, cuboids))
 
@@ -285,8 +270,8 @@ def test_all_anomalous_labels():
     v, f = spread_floats(rng, 120), spread_floats(rng, 120)
     cuboids = [(0,), (1, 2), (0, 1, 2, 3)]
     stride_matrix, offsets, total = plan(sizes, cuboids)
-    support, anomalous, __, __ = kernels.fused_batch(
-        codes, stride_matrix, offsets, total, np.arange(120), v, f
+    support, anomalous = kernels.fused_batch(
+        codes, stride_matrix, offsets, total, np.arange(120)
     )
     assert_bitwise(anomalous, support)
     assert_bitwise(support, reference_lanes(codes, sizes, cuboids))
@@ -301,12 +286,11 @@ def test_delta_patch_gains_and_loses_labels():
     codes = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [0, 1]], dtype=np.int64)
     gained = np.array([True, False, False, True, False])
     lost = np.array([False, True, False, False, True])
-    v_delta = np.array([1.0, -2.0, 0.5, 0.25, 4.0])
     sizes = (2, 2)
     cuboids = [(0,), (1,), (0, 1)]
     stride_matrix, offsets, total = plan(sizes, cuboids)
-    anomalous, v_dense, f_dense = kernels.delta_patch(
-        codes, stride_matrix, offsets, total, gained, lost, v_delta, -v_delta
+    anomalous = kernels.delta_patch(
+        codes, stride_matrix, offsets, total, gained, lost
     )
     # (0,): element 0 gains one row and loses two, element 1 gains one;
     # (1,): element 0 gains one, element 1 gains one and loses two;
@@ -314,10 +298,6 @@ def test_delta_patch_gains_and_loses_labels():
     assert_bitwise(
         anomalous, np.array([-1, 1, 1, -1, 1, -2, 0, 1], dtype=np.int64)
     )
-    assert_bitwise(
-        v_dense, reference_lanes(codes, sizes, cuboids, weights=v_delta)
-    )
-    assert_bitwise(f_dense, -v_dense)
 
 
 def test_info_names_the_kernel_set():

@@ -68,6 +68,8 @@ def start_server(extra_args=()):
     )
     banner = process.stdout.readline()
     # "serving: POST http://127.0.0.1:PORT/localize ... binary frames on port P"
+    if "serving: POST http://" not in banner:
+        stop(process)
     assert "serving: POST http://" in banner, banner
     http_port = int(banner.split("http://", 1)[1].split("/", 1)[0].rsplit(":", 1)[1])
     binary_port = None
@@ -78,9 +80,19 @@ def start_server(extra_args=()):
 
 
 def drain(process, timeout=60):
-    out = process.stdout.read()
+    """Read the server's output to EOF, close the pipe, reap the exit code."""
+    with process.stdout:
+        out = process.stdout.read()
     code = process.wait(timeout=timeout)
     return code, out
+
+
+def stop(process):
+    """Failure path: kill the server if it still runs and close its pipe."""
+    if process.poll() is None:
+        process.kill()
+    process.wait(timeout=30)
+    process.stdout.close()
 
 
 def test_serve_smoke_end_to_end(cases, serial):
@@ -118,9 +130,7 @@ def test_serve_smoke_end_to_end(cases, serial):
         assert code == 0, out
         assert f"served {n_requests} request(s)" in out
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
+        stop(process)
 
 
 def test_serve_smoke_sigint_drains_cleanly(cases):
@@ -135,9 +145,7 @@ def test_serve_smoke_sigint_drains_cleanly(cases):
         assert "draining" in out
         assert "served 1 request(s)" in out
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
+        stop(process)
 
 
 def test_serve_smoke_tenant_allowlist(cases):

@@ -223,15 +223,12 @@ class TestStreamLocalize:
         assert "verification passed" in out
         assert "amortized" in out
 
-    def test_pinned_crossover_and_rebase_knobs(self, bundle, capsys):
+    def test_pinned_crossover_knob(self, bundle, capsys):
         code = main(
-            [
-                "stream-localize", "--cases", str(bundle),
-                "--crossover", "0.5", "--rebase-every", "8",
-            ]
+            ["stream-localize", "--cases", str(bundle), "--crossover", "0.5"]
         )
         assert code == 0
-        assert "re-bases" in capsys.readouterr().out
+        assert "amortized" in capsys.readouterr().out
 
     def test_rejects_malformed_crossover(self, bundle):
         with pytest.raises(SystemExit):
