@@ -18,9 +18,11 @@ docs-check:
 
 # Fleet gate (tier-1): executor (per-layout FIFOs, crash protocol,
 # serving lifecycle), supervisor and store suites, the bitwise
-# fleet-vs-serial property test, and a 2-worker fast-preset smoke.
+# fleet-vs-serial property test, the bitwise carried-engine property
+# test (streaming miner and 1- and 2-worker fleets vs stateless), and a
+# 2-worker fast-preset smoke.
 fleet-check:
-	pytest tests/fleet/ tests/property/test_fleet_properties.py -p no:cacheprovider
+	pytest tests/fleet/ tests/property/test_fleet_properties.py tests/property/test_incremental_properties.py -p no:cacheprovider
 
 # Serving gate (tier-1): protocol/admission/server suites, the request
 # codec's case columns (data/io.py) and the end-to-end smoke — boot

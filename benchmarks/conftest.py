@@ -5,6 +5,9 @@ Each benchmark module regenerates one table or figure of the paper at the
 reproduction target — see EXPERIMENTS.md for a paper-scale run).  Dataset
 generation is session-scoped so pytest-benchmark timings measure the
 localizers, not the generators.
+
+:func:`assert_bit_identical` is the equivalence gate every warm or
+streaming path's benchmark asserts against a stateless run.
 """
 
 from __future__ import annotations
@@ -27,3 +30,14 @@ def squeeze_cases(preset):
 @pytest.fixture(scope="session")
 def rapmd_cases(preset):
     return preset.rapmd_cases()
+
+
+def assert_bit_identical(candidates, reference):
+    """Full-field candidate equality, confidence floats included."""
+    assert len(candidates) == len(reference)
+    for got, want in zip(candidates, reference):
+        assert got.combination == want.combination
+        assert got.confidence == want.confidence  # bitwise: same float
+        assert got.layer == want.layer
+        assert got.support == want.support
+        assert got.anomalous_support == want.anomalous_support

@@ -123,7 +123,7 @@ def _engine_counters(case, kept, grid):
         "aggregate_requests": int(requests),
         "aggregate_by_path": {
             path: int(metrics.value("engine_aggregate_total", {"path": path}))
-            for path in ("cache_hit", "rollup", "warm_refresh", "cold")
+            for path in ("cache_hit", "warm_refresh", "cold")
         },
         "cache_hit_rate": cache_hits / requests if requests else 0.0,
         "bincount_passes": int(metrics.family_total("engine_bincount_passes_total")),

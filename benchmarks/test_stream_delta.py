@@ -17,6 +17,11 @@ Measured configurations:
   aggregates cold, every later tick patches the cached cuboid aggregates
   from the changed rows alone.
 
+A second workload replays ten intervals of one incident over fresh
+simulator snapshots — every leaf's value moves each interval, so the
+streaming miner warm-clones instead of patching — and asserts its
+candidates bit-identical to the stateless miner's on every interval.
+
 The report gates on the ISSUE acceptance criteria: amortized per-tick
 delta latency (cold first tick included) at least ``TARGET_SPEEDUP``x
 below the cold per-tick latency at a changed-leaf fraction of at most
@@ -32,16 +37,17 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.config import RAPMinerConfig
-from repro.core.incremental import StreamingRAPMiner
+from repro.core.delta import StreamingRAPMiner
 from repro.core.miner import RAPMiner
 from repro.data.cdn_simulator import CDNSimulator, CDNSimulatorConfig
 from repro.data.dataset import FineGrainedDataset
-from repro.data.injection import sample_raps
+from repro.data.injection import inject_failures, sample_raps
 from repro.data.schema import cdn_schema
 
-from test_incremental_warmstart import assert_bit_identical
+from conftest import assert_bit_identical
 
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_stream.json"
 #: Ticks per trace (first one aggregates cold and is charged to delta).
@@ -191,3 +197,57 @@ def test_benchmark_delta_stream(benchmark):
         ]
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+@pytest.fixture(scope="module")
+def incident_intervals():
+    """Ten consecutive intervals of one persisted 2-RAP incident."""
+    sim = CDNSimulator(cdn_schema(12, 3, 3, 8), CDNSimulatorConfig(seed=47))
+    rng = np.random.default_rng(47)
+    background = sim.snapshot(500).to_dataset()
+    raps = sample_raps(background, 2, rng, min_support=8)
+    intervals = []
+    for step in range(10):
+        snapshot = sim.snapshot(500 + step).to_dataset()
+        labelled, __ = inject_failures(snapshot, raps, rng)
+        intervals.append(labelled)
+    return raps, intervals
+
+
+def stateless_candidates(interval):
+    """Reference ranking from a fresh miner on a fresh engine.
+
+    The dataset is rebuilt so the stateless run cannot silently reuse an
+    engine the streaming miner installed on the interval.
+    """
+    rebuilt = FineGrainedDataset(
+        interval.schema,
+        interval.codes.copy(),
+        interval.v,
+        interval.f,
+        interval.labels,
+    )
+    return RAPMiner(CONFIG).run(rebuilt).candidates
+
+
+def test_streaming_matches_stateless(incident_intervals):
+    __, intervals = incident_intervals
+    streaming = StreamingRAPMiner(CONFIG)
+    for interval in intervals:
+        assert_bit_identical(
+            streaming.run(interval).candidates, stateless_candidates(interval)
+        )
+    assert streaming.stats.ticks == len(intervals)
+
+
+def test_benchmark_stateless_incident(benchmark, incident_intervals):
+    __, intervals = incident_intervals
+    miner = RAPMiner(CONFIG)
+    reference = [stateless_candidates(interval) for interval in intervals]
+
+    def run_all():
+        return [miner.run(interval).candidates for interval in intervals]
+
+    produced = benchmark(run_all)
+    for got, want in zip(produced, reference):
+        assert_bit_identical(got, want)

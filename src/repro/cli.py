@@ -17,14 +17,16 @@ Subcommands
     ``localize`` path; the command reports throughput.
 ``repro fleet-localize``
     Serve a saved bundle through the multi-tenant fleet
-    (:mod:`repro.fleet`): one FIFO per schema layout served by
-    warm-engine workers, per-tenant quotas, optional segment-log
-    persistence (``--store``), store replay verification (``--replay``)
-    and engine warm starts from a previous run's log (``--warm-start``).
+    (:mod:`repro.fleet`): one FIFO per schema layout served by workers
+    that each carry their engine across cases on a
+    :class:`~repro.core.delta.DeltaSession`, per-tenant quotas, optional
+    segment-log persistence (``--store``), store replay verification
+    (``--replay``) and engine warm starts from a previous run's log
+    (``--warm-start``).
     Output is bit-identical to serial regardless of worker interleaving.
 ``repro stream-localize``
     Replay a saved bundle as consecutive ticks of one stream through the
-    delta-patching :class:`~repro.core.incremental.StreamingRAPMiner`:
+    delta-patching :class:`~repro.core.delta.StreamingRAPMiner`:
     per-tick latency, patched-vs-cold path and stop reasons, plus a
     session summary.  ``--verify`` re-runs every tick statelessly and
     asserts bit-identical candidates.  ``--serve-metrics HOST:PORT``
@@ -32,13 +34,15 @@ Subcommands
     ``/debug/profile`` live for the lifetime of the replay (see
     ``docs/observability.md``).
 ``repro serve``
-    Run the network serving front door (:mod:`repro.serving`) over a
-    warm-engine fleet: per-tick localization requests over HTTP JSON
+    Run the network serving front door (:mod:`repro.serving`) over the
+    fleet: per-tick localization requests over HTTP JSON
     (``POST /localize``) and the RPSV binary frame stream, with bounded
     admission (queue caps, per-tenant shares, typed shed responses, a
     degraded band under congestion) and the telemetry plane
     (``/metrics``, ``/healthz``, ``/readyz``, ``/debug/*``) mounted on
-    the same port.  See ``docs/serving.md`` for the protocol.
+    the same port.  Consecutive requests over one leaf population patch
+    the worker's previous engine instead of re-aggregating.  See
+    ``docs/serving.md`` for the protocol.
 ``repro profile``
     Span-family self-time profile (self vs child time, top-N table) of a
     JSONL trace captured with ``--trace``.
@@ -371,8 +375,7 @@ def _parse_serve_address(value: str):
 
 
 def _cmd_stream_localize(args: argparse.Namespace) -> int:
-    from .core.delta import DeltaConfig
-    from .core.incremental import StreamingRAPMiner
+    from .core.delta import DeltaConfig, StreamingRAPMiner
     from .service.stream import replay_stream
 
     cases = load_cases(args.cases)

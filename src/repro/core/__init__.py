@@ -11,7 +11,7 @@ from .classification_power import (
     partition_attributes,
 )
 from .config import RAPMinerConfig
-from .delta import DeltaConfig, DeltaSession, DeltaStats, DeltaTick
+from .delta import DeltaConfig, DeltaSession, DeltaStats, DeltaTick, StreamingRAPMiner
 from .cuboid import (
     Cuboid,
     cuboid_count,
@@ -29,7 +29,6 @@ from .engine import (
     install_engine,
 )
 from .explain import Explanation, PatternEvidence, explain
-from .incremental import IncrementalRAPMiner, IncrementalStats, StreamingRAPMiner
 from .lattice_viz import (
     VertexState,
     render_cuboid_hierarchy,
@@ -83,8 +82,6 @@ __all__ = [
     "DeltaSession",
     "DeltaStats",
     "DeltaTick",
-    "IncrementalRAPMiner",
-    "IncrementalStats",
     "StreamingRAPMiner",
     "VertexState",
     "render_cuboid_hierarchy",

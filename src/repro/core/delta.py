@@ -31,10 +31,12 @@ every tick even when only a small fraction of leaves changed.  A
   ``"auto"`` mode that *measures* the break-even point from observed cold
   and patched tick latencies instead of guessing.
 
-The session only supplies engines; running the search stays with
-:class:`~repro.core.incremental.StreamingRAPMiner` (the miner-level
-wrapper) and :class:`~repro.service.pipeline.LocalizationService` (which
-drives a session per monitored stream by default).
+The session is the one place an engine passes from one interval to the
+next.  It only supplies engines; running the search stays with its
+owners: :class:`StreamingRAPMiner` (the miner-level wrapper below),
+:class:`~repro.service.pipeline.LocalizationService` (a session per
+monitored stream) and the fleet's workers
+(:class:`~repro.fleet.supervisor.FleetSupervisor`, a session per worker).
 """
 
 from __future__ import annotations
@@ -51,9 +53,18 @@ from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationDecision, DegradationPolicy
 from . import kernels
+from .attribute import AttributeCombination
+from .config import RAPMinerConfig
 from .engine import AggregationEngine, engine_for, release_engine
+from .miner import LocalizationResult, RAPMiner
 
-__all__ = ["DeltaConfig", "DeltaStats", "DeltaTick", "DeltaSession"]
+__all__ = [
+    "DeltaConfig",
+    "DeltaStats",
+    "DeltaTick",
+    "DeltaSession",
+    "StreamingRAPMiner",
+]
 
 
 @dataclass
@@ -168,7 +179,13 @@ class DeltaSession:
         self._patched_per_row: Optional[float] = None
 
     def reset(self) -> None:
-        """Forget the previous tick (the next one aggregates cold)."""
+        """Forget the previous tick (the next one aggregates cold).
+
+        The held engine is released from its dataset, so a caller that
+        drops the dataset frees both by reference counting.
+        """
+        if self._engine is not None:
+            release_engine(self._engine)
         self._previous = None
         self._engine = None
         self._plan = None
@@ -236,16 +253,22 @@ class DeltaSession:
         start = time.perf_counter()
         engine = self._engine
         if engine is None:
-            return self._cold_tick(dataset, "first_tick", None, start)
+            return self._cold_tick(dataset, "first_tick", None, start, compatible=False)
         if not engine.compatible_with(dataset):
             self._plan = None
-            return self._cold_tick(dataset, "layout_change", None, start)
+            return self._cold_tick(
+                dataset, "layout_change", None, start, compatible=False
+            )
         decision = None
         if policy is not None:
             decision = policy.decide_delta(dataset.n_rows, budget)
             if decision.tier != "delta":
                 return self._cold_tick(
-                    dataset, decision.reason or "budget", decision, start
+                    dataset,
+                    decision.reason or "budget",
+                    decision,
+                    start,
+                    compatible=True,
                 )
         previous = self._previous
         changed = np.flatnonzero(
@@ -259,7 +282,13 @@ class DeltaSession:
             # Cold for cost reasons, not policy ones: let the miner make
             # its own serial-ladder decision instead of inheriting "delta".
             return self._cold_tick(
-                dataset, "fraction", None, start, changed.size, fraction
+                dataset,
+                "fraction",
+                None,
+                start,
+                compatible=True,
+                changed_rows=changed.size,
+                fraction=fraction,
             )
         clone, patched = self._patch(engine, previous, dataset, changed)
         self._previous = dataset
@@ -284,13 +313,20 @@ class DeltaSession:
         reason: str,
         decision: Optional[DegradationDecision],
         start: float,
+        compatible: bool,
         changed_rows: int = 0,
         fraction: float = 1.0,
     ) -> DeltaTick:
+        """Resolve a tick without patching.
+
+        *compatible* is :meth:`begin_tick`'s verdict on whether *dataset*
+        shares the held engine's leaf population, so the codes are
+        compared once per tick (``warm_clone`` keeps its own guard).
+        """
         previous = self._engine
-        if previous is not None and previous.compatible_with(dataset):
+        if compatible:
             # Same leaf population: code-derived caches survive, only the
-            # label/value lanes re-aggregate (bitwise equal to fully cold).
+            # label counts re-aggregate (bitwise equal to fully cold).
             engine = previous.warm_clone(dataset)
         else:
             engine = engine_for(dataset)
@@ -415,3 +451,90 @@ class DeltaSession:
                 obs.inc("delta_changed_rows_total", tick.changed_rows)
                 obs.inc("delta_patched_cuboids_total", tick.patched_cuboids)
                 obs.inc("delta_patch_seconds_total", tick.patch_seconds)
+
+
+class StreamingRAPMiner:
+    """RAPMiner over a tick stream, with delta-patched aggregation.
+
+    Each :meth:`run` call is one tick.  The session diffs the incoming
+    leaf table against the previous tick's and, below the crossover
+    threshold, patches every cached cuboid aggregate instead of
+    re-aggregating cold (see the module docstring for the exact
+    bitwise-equivalence contract).  Candidates are always identical to a
+    stateless :class:`RAPMiner` on the same tick; only the cost — and,
+    under a :class:`~repro.resilience.DegradationPolicy`, the reported
+    ``degradation_tier`` (``"delta"`` on patched ticks) — differs.
+
+    Parameters
+    ----------
+    config:
+        Underlying :class:`RAPMinerConfig`, shared with the wrapped
+        miner (deadline and degradation defaults apply per tick).
+    delta:
+        :class:`DeltaConfig` steering the session (crossover threshold).
+    """
+
+    name = "StreamingRAPMiner"
+
+    def __init__(
+        self,
+        config: Optional[RAPMinerConfig] = None,
+        delta: Optional[DeltaConfig] = None,
+    ):
+        self._miner = RAPMiner(config)
+        self.session = DeltaSession(delta)
+
+    @property
+    def config(self) -> RAPMinerConfig:
+        """The wrapped miner's config (rebinding it retunes both paths)."""
+        return self._miner.config
+
+    @config.setter
+    def config(self, value: RAPMinerConfig) -> None:
+        self._miner.config = value
+
+    @property
+    def stats(self) -> DeltaStats:
+        """The session's tick mix (patched vs cold, churn)."""
+        return self.session.stats
+
+    def reset(self) -> None:
+        """Drop cross-tick state (the next tick aggregates cold)."""
+        self.session.reset()
+
+    def run(
+        self,
+        dataset: FineGrainedDataset,
+        k: Optional[int] = None,
+        budget: Optional[Budget] = None,
+        degradation: Optional[DegradationPolicy] = None,
+    ) -> LocalizationResult:
+        """Localize one tick against the delta-patched engine."""
+        if budget is None:
+            budget = self._miner._budget_from_config()
+        policy = degradation if degradation is not None else self.config.degradation
+        with obs.span("streaming.run", k=k) as run_span:
+            started = time.perf_counter()
+            tick = self.session.begin_tick(dataset, budget=budget, policy=policy)
+            result = self._miner.run(
+                dataset,
+                k,
+                engine=tick.engine,
+                budget=budget,
+                degradation=policy,
+                _decision=tick.decision,
+            )
+            self.session.record_tick_seconds(tick, time.perf_counter() - started)
+            run_span.set(
+                path=tick.path,
+                reason=tick.reason or "none",
+                changed_rows=tick.changed_rows,
+                n_candidates=len(result.candidates),
+            )
+            return result
+
+    def localize(
+        self, dataset: FineGrainedDataset, k: Optional[int] = None
+    ) -> List[AttributeCombination]:
+        """Uniform :class:`~repro.baselines.base.Localizer` entry point."""
+        return self.run(dataset, k).patterns

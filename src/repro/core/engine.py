@@ -19,23 +19,14 @@ scan per combination.  :class:`AggregationEngine` shares that work:
   BFS layer are aggregated together: their key spaces are disjoint after
   offsetting, so one ``np.bincount`` over the concatenated keys yields
   every cuboid's support, and one over the anomalous rows' keys every
-  anomalous support.  Roll-ups fold both count lanes into a single
-  stacked-weights pass.
+  anomalous support.  Small lattices are prefetched whole in one such
+  pass (:meth:`AggregationEngine.prepare`).
 * **Lazy value lanes** — CP and the search read counts only, so the
   ``v``/``f`` sums are not computed with them.  Each engine-built
   aggregate carries a :class:`LaneSpec` instead and computes a lane on
   its first read (the Adtributor baseline, derived KPIs): one weighted
   bincount over the cuboid's leaf keys in leaf-row order, which is
   bitwise what an eager cold pass returns on every resolution path.
-* **Layer roll-ups** — once a *base* cuboid over a searched attribute set
-  is aggregated (``G`` occupied groups), every sub-cuboid is computed by
-  grouping those ``G`` rows instead of the ``N`` leaves.  The cuboid
-  lattice is a semilattice under attribute-set union, so any cached
-  aggregate over a superset of a cuboid's attributes is a valid roll-up
-  source; bases are only materialized when their group capacity is
-  strictly below the leaf count, i.e. when rolling up is a guaranteed win
-  (typical after Algorithm 1 deletes attributes).  Counts are
-  integer-exact either way.
 * **Inverted index** — lazily built per ``(attribute, element-code)``
   posting lists of leaf rows, so a combination's covered rows come from
   sorted-array intersections instead of repeated full-table masks.
@@ -46,8 +37,8 @@ scan per combination.  :class:`AggregationEngine` shares that work:
   count.
 * **Warm cloning** — everything that depends only on the leaf *codes*
   (keys, postings, per-cuboid support/occupancy) survives a label/value
-  refresh, which is what makes the incremental miner's exact re-search
-  cheap across the intervals of one incident.
+  refresh.  :class:`~repro.core.delta.DeltaSession` is the one owner that
+  hands an engine from one interval to the next this way.
 
 Engines are bound to one :class:`FineGrainedDataset` and shared through
 :func:`engine_for`, a per-dataset cache stored on the dataset itself:
@@ -67,7 +58,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -95,10 +86,11 @@ __all__ = [
 #: every entry immortal) means the engine dies with the dataset.  The two
 #: form a reference cycle: left alone, only the cyclic collector frees
 #: it.  A long-running owner that retires engines at a steady rate
-#: breaks the cycle itself with :func:`release_engine` — the fleet does
-#: so for each worker's previous warm source — so a served case is freed
-#: by reference counting.  ``FineGrainedDataset.__getstate__`` drops the
-#: attribute, so pickled datasets never carry a cache.
+#: breaks the cycle itself with :func:`release_engine` — a
+#: :class:`~repro.core.delta.DeltaSession` does so for each engine a tick
+#: replaces — so a served case is freed by reference counting.
+#: ``FineGrainedDataset.__getstate__`` drops the attribute, so pickled
+#: datasets never carry a cache.
 _ENGINE_ATTR = "_repro_engine"
 
 #: Upper bound on the element count of one batched pass; layers whose
@@ -201,7 +193,7 @@ class AggregationEngine:
     backend = kernels
 
     #: Largest cuboid lattice :meth:`prepare` aggregates in one batched
-    #: pass; wider attribute sets fall back to seeding a roll-up base.
+    #: pass; wider attribute sets are aggregated layer by layer.
     _MAX_PREFETCH_CUBOIDS = 64
 
     def __init__(self, dataset: FineGrainedDataset, n_jobs: int = 1):
@@ -216,10 +208,8 @@ class AggregationEngine:
         self._keys: Dict[Tuple[int, ...], np.ndarray] = {}
         self._shapes: Dict[Tuple[int, ...], _CuboidShape] = {}
         self._aggregates: Dict[Tuple[int, ...], CuboidAggregate] = {}
-        #: Roll-up sources seeded by :meth:`prepare` (attribute set -> aggregate).
-        self._bases: Dict[Tuple[int, ...], CuboidAggregate] = {}
-        #: prepare() decisions, memoized so repeated searches skip the check.
-        self._prepared: Dict[Tuple[int, ...], Optional[CuboidAggregate]] = {}
+        #: Attribute sets already prepared, so repeated searches skip the check.
+        self._prepared: Set[Tuple[int, ...]] = set()
         #: attribute column -> posting list per element code (built lazily,
         #: only for attributes that are actually queried).
         self._postings: Dict[int, List[np.ndarray]] = {}
@@ -364,109 +354,48 @@ class AggregationEngine:
                 )
             self._aggregates[key] = aggregate
 
-    def prepare(self, attribute_indices: Sequence[int]) -> Optional[CuboidAggregate]:
+    def prepare(self, attribute_indices: Sequence[int]) -> None:
         """Prefetch aggregation state for a search over *attribute_indices*.
 
         Small lattices (at most :attr:`_MAX_PREFETCH_CUBOIDS` cuboids
         within the batch element budget) are aggregated in one batched
-        pass — a single key matmul plus four bincounts covers every
+        pass — a single key matmul plus two bincounts covers every
         cuboid the search can visit, which beats per-layer passes when
         the per-call ``numpy`` overhead dominates the per-row work.
-        Wider attribute sets instead seed a roll-up base, materialized
-        only when its group capacity is strictly below the leaf count —
-        the cheap sufficient condition for every roll-up from it to
-        group fewer rows than a leaf-level pass would (true whenever
-        Algorithm 1 deleted attributes; for a base as wide as the table
-        rolling up cannot win).  Returns the base aggregate when its
-        capacity beats the leaf count, else ``None``.
+        Wider attribute sets are left to :meth:`layer_aggregates`.
         """
         indices = tuple(sorted(set(int(i) for i in attribute_indices)))
         if indices in self._prepared:
             if _trace.ACTIVE:
                 obs.inc("engine_prepare_total", outcome="memoized")
-            return self._prepared[indices]
+            return
         outcome = "no_prefetch"
-        base: Optional[CuboidAggregate] = None
-        if indices:
-            __, __, capacity = self._geometry(indices)
-            n_lattice = (1 << len(indices)) - 1
-            if (
-                n_lattice <= self._MAX_PREFETCH_CUBOIDS
-                and n_lattice * self.dataset.n_rows <= _MAX_BATCH_ELEMENTS
-            ):
-                cold = [
-                    Cuboid(subset)
-                    for layer in range(1, len(indices) + 1)
-                    for subset in itertools.combinations(indices, layer)
-                    if subset not in self._aggregates and subset not in self._shapes
-                ]
-                if cold:
-                    self._aggregate_batch(cold)
-                outcome = "full_lattice"
-            if capacity < self.dataset.n_rows:
-                base = self.aggregate(Cuboid(indices))
-                self._bases[indices] = base
-                if outcome == "no_prefetch":
-                    outcome = "base_seeded"
-        self._prepared[indices] = base
+        n_lattice = (1 << len(indices)) - 1
+        if (
+            indices
+            and n_lattice <= self._MAX_PREFETCH_CUBOIDS
+            and n_lattice * self.dataset.n_rows <= _MAX_BATCH_ELEMENTS
+        ):
+            cold = [
+                Cuboid(subset)
+                for layer in range(1, len(indices) + 1)
+                for subset in itertools.combinations(indices, layer)
+                if subset not in self._aggregates and subset not in self._shapes
+            ]
+            if cold:
+                self._aggregate_batch(cold)
+            outcome = "full_lattice"
+        self._prepared.add(indices)
         if _trace.ACTIVE:
             obs.inc("engine_prepare_total", outcome=outcome)
-        return base
-
-    def _rollup_source(self, indices: Tuple[int, ...]) -> Optional[CuboidAggregate]:
-        """Smallest prepared base strictly containing *indices* (or None).
-
-        Restricted to :meth:`prepare`-seeded bases — not arbitrary cached
-        supersets — so the resolution path never depends on
-        cache-population timing under parallel layer fan-out.
-        """
-        if not self._bases:
-            return None
-        target = set(indices)
-        best: Optional[CuboidAggregate] = None
-        for base_indices, aggregate in self._bases.items():
-            if target < set(base_indices):
-                if best is None or len(aggregate) < len(best):
-                    best = aggregate
-        return best
-
-    def _rollup(self, cuboid: Cuboid, source: CuboidAggregate) -> CuboidAggregate:
-        """Count *cuboid* by grouping the rows of a superset aggregate."""
-        indices = cuboid.attribute_indices
-        positions = [source.cuboid.attribute_indices.index(i) for i in indices]
-        sizes, strides, capacity = self._geometry(indices)
-        keys = source.codes[:, positions[0]] * int(strides[0])
-        for stride, position in zip(strides[1:], positions[1:]):
-            keys = keys + source.codes[:, position] * int(stride)
-        if _trace.ACTIVE:
-            obs.inc("engine_bincount_passes_total", kind="fused")
-        totals = kernels.fused_bincount(
-            keys,
-            (source.support.astype(float), source.anomalous_support.astype(float)),
-            capacity,
-        )
-        occupied = np.flatnonzero(totals[:, 0])
-        if len(sizes) == 1:
-            codes = occupied.reshape(-1, 1)
-        else:
-            codes = np.stack(np.unravel_index(occupied, sizes), axis=1).astype(np.int64)
-        return CuboidAggregate(
-            cuboid=cuboid,
-            schema=self.dataset.schema,
-            codes=codes,
-            support=np.rint(totals[occupied, 0]).astype(np.int64),
-            anomalous_support=np.rint(totals[occupied, 1]).astype(np.int64),
-            lanes=self._lanes(indices, occupied),
-        )
 
     def aggregate(self, cuboid: Cuboid) -> CuboidAggregate:
         """Cached per-cuboid aggregate (drop-in for ``dataset.aggregate``).
 
         Resolution order: cached aggregate -> label refresh of a warm
-        shape -> roll-up from a prepared base -> fused bincount over the
-        leaves.  Every path returns the naive path's combinations and
-        counts, and ``v``/``f`` lanes that compute, when read, bitwise
-        what a cold leaf-level pass returns.
+        shape -> fused bincount over the leaves.  Every path returns the
+        naive path's combinations and counts, and ``v``/``f`` lanes that
+        compute, when read, bitwise what a cold leaf-level pass returns.
         """
         indices = cuboid.attribute_indices
         aggregate = self._aggregates.get(indices)
@@ -497,18 +426,6 @@ class AggregationEngine:
                 support=shape.support,
                 anomalous_support=anomalous.astype(np.int64, copy=False),
                 lanes=self._lanes(indices, shape.occupied),
-            )
-            self._aggregates[indices] = aggregate
-            return aggregate
-        source = self._rollup_source(indices)
-        if source is not None:
-            if _trace.ACTIVE:
-                obs.inc("engine_aggregate_total", path="rollup")
-            aggregate = self._rollup(cuboid, source)
-            self._shapes[indices] = _CuboidShape(
-                occupied=aggregate.lanes.occupied,
-                support=aggregate.support,
-                codes=aggregate.codes,
             )
             self._aggregates[indices] = aggregate
             return aggregate
@@ -550,7 +467,7 @@ class AggregationEngine:
     ) -> Iterator[CuboidAggregate]:
         """Aggregates of one layer's cuboids, batch-fused and optionally threaded.
 
-        Uncached cuboids with no roll-up source are aggregated together in
+        Uncached cuboids are aggregated together in
         chunked fused-bincount passes (see :meth:`_aggregate_batch`); with
         ``n_jobs > 1`` the chunks run across a thread pool (``bincount``
         releases no GIL but the array setup does, and chunks are
@@ -565,7 +482,6 @@ class AggregationEngine:
             for cuboid in cuboids
             if cuboid.attribute_indices not in self._aggregates
             and cuboid.attribute_indices not in self._shapes
-            and self._rollup_source(cuboid.attribute_indices) is None
         ]
         if cold:
             per_chunk = max(1, _MAX_BATCH_ELEMENTS // max(1, self.dataset.n_rows))
@@ -662,7 +578,7 @@ class AggregationEngine:
         Computed by intersecting the specified attributes' posting lists
         (smallest first), so the cost scales with the combination's
         support rather than the table size.  Results are cached per
-        combination for the incremental miner's repeated verifications.
+        combination and shared with warm clones.
         """
         encoded = self.dataset.encode_combination(combination)
         return self._rows_of_encoded(tuple(int(code) for code in encoded))
@@ -786,8 +702,8 @@ class NaiveAggregationEngine(AggregationEngine):
     """Reference adapter reproducing the pre-engine cost profile.
 
     Every call re-derives its answer from the full leaf table through the
-    naive :class:`FineGrainedDataset` methods — no caching, no roll-ups,
-    no fused or batched passes, no posting lists.  The speedup benchmark
+    naive :class:`FineGrainedDataset` methods — no caching, no fused or
+    batched passes, no posting lists.  The speedup benchmark
     runs the shared search code against this adapter to measure exactly
     what the engine buys, with bit-identical candidate sets.
     """
@@ -798,7 +714,7 @@ class NaiveAggregationEngine(AggregationEngine):
             capacity *= self.dataset.schema.size(index)
         return self.dataset.linear_keys(cuboid), capacity
 
-    def prepare(self, attribute_indices: Sequence[int]) -> Optional[CuboidAggregate]:
+    def prepare(self, attribute_indices: Sequence[int]) -> None:
         return None
 
     def aggregate(self, cuboid: Cuboid) -> CuboidAggregate:

@@ -7,7 +7,7 @@ and :func:`delta_patch` patches the anomalous counts of a streaming tick.
 The ``v``/``f`` sums that the Adtributor baseline and derived KPIs read
 are one :func:`weighted_bincount` per lane, run when an aggregate's lane
 is first read.  The serial, stacked and streaming engines get all of
-this from the seven functions below, which share one contract:
+this from the six functions below, which share one contract:
 
 * **int64 keys.**  A cuboid's linear key is ``sum(code[a] * stride[a])``
   with row-major strides, in ``[0, capacity)``; ``np.bincount`` promotes
@@ -31,7 +31,6 @@ __all__ = [
     "count_bincount",
     "delta_patch",
     "fused_batch",
-    "fused_bincount",
     "info",
     "stacked_anomalous",
     "stacked_key_dtype",
@@ -93,29 +92,6 @@ def fused_batch(
     else:
         anomalous = np.zeros(total, dtype=np.int64)
     return support, anomalous
-
-
-def fused_bincount(
-    keys: np.ndarray,
-    weight_columns: Sequence[np.ndarray],
-    capacity: int,
-) -> np.ndarray:
-    """Stacked-weights bincount, shape ``(capacity, lanes)``.
-
-    Lane ``i`` of row ``k`` is ``sum(weight_columns[i][keys == k])``
-    with per-bucket additions in ascending row order.
-    """
-    lanes = len(weight_columns)
-    if lanes == 1:
-        return np.bincount(
-            keys, weights=weight_columns[0], minlength=capacity
-        ).reshape(capacity, 1)
-    fused_keys = (keys[:, None] * lanes + np.arange(lanes)).ravel()
-    fused_weights = np.stack(weight_columns, axis=1).ravel()
-    totals = np.bincount(
-        fused_keys, weights=fused_weights, minlength=capacity * lanes
-    )
-    return totals.reshape(capacity, lanes)
 
 
 def count_bincount(keys: np.ndarray, minlength: int) -> np.ndarray:

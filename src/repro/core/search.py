@@ -16,8 +16,8 @@ candidate and the combination would have been pruned).
 
 Aggregation goes through the dataset's shared :class:`AggregationEngine`
 (:func:`repro.core.engine.engine_for`): per-cuboid linear keys are cached,
-support/anomalous/v/f come from one fused bincount pass, sub-cuboids roll
-up from a prepared base aggregate, and candidate coverage uses the
+support and anomalous support come from one fused bincount pass per
+layer (or per prefetched lattice), and candidate coverage uses the
 engine's inverted index instead of full-table masks.  Pass ``n_jobs > 1``
 to fan each layer's cuboids across a thread pool; the candidate set is
 identical either way.

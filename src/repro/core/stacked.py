@@ -45,8 +45,8 @@ engine layer by layer with an active-case mask: cases diverge naturally
 stop) while the layers they share stay fused.  Only integer counts feed
 the search (confidence is an elementwise integer division), which is why
 candidates are bitwise identical to the serial loop regardless of how
-the serial engine resolved its aggregates (leaf-level, roll-up or warm
-refresh paths all agree on the integer lanes).
+the serial engine resolved its aggregates (leaf-level, warm refresh and
+delta-patched paths all agree on the integer lanes).
 
 Memory footprint of one fused pass is bounded: the shared key matrix is
 at most ``_MAX_STACKED_ELEMENTS`` int64 elements and each stacked

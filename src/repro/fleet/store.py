@@ -114,6 +114,16 @@ class FleetStore:
 
     def _open_existing(self) -> None:
         self._handle = self.path.open("r+b" if self.mode == "a" else "rb")
+        try:
+            self._check_header()
+            if not self._load_index():
+                self._scan()
+        except BaseException:
+            # The constructor raises, so no caller ever gets to close it.
+            self._handle.close()
+            raise
+
+    def _check_header(self) -> None:
         header = self._handle.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError(f"{self.path} is not a fleet segment log (short header)")
@@ -125,8 +135,6 @@ class FleetStore:
                 f"{self.path} is store version {version}, "
                 f"this build reads {STORE_VERSION}"
             )
-        if not self._load_index():
-            self._scan()
 
     @property
     def _index_path(self) -> Path:

@@ -5,22 +5,21 @@
 serve`` front door.  Cases queue on **one FIFO per schema layout** (the
 ``(attribute names, sizes)`` pair that decides whether two cases can
 share an engine's code-derived caches).  Each FIFO is served by
-:attr:`FleetConfig.shards_per_layout` workers, and each worker keeps its
-own warm :class:`~repro.core.engine.AggregationEngine` — the engine of
-the last case it ran — so consecutive cases over one leaf population
-reuse code-derived caches through
-:meth:`~repro.core.engine.AggregationEngine.warm_clone` instead of
-re-aggregating from cold.  Warm clones share mutable caches with their
-source, so an engine never passes from one worker to another.  A shared
-FIFO balances its workers by itself: whichever worker is free takes the
-next item.
+:attr:`FleetConfig.shards_per_layout` workers, and each worker carries
+its engine from one case to the next on its own
+:class:`~repro.core.delta.DeltaSession`: a case over the previous case's
+leaf population patches the cached aggregates when few leaves changed
+and warm-clones the engine when many did; any other case builds cold.
+Warm clones share mutable caches with their source, so an engine never
+passes from one worker to another.  A shared FIFO balances its workers
+by itself: whichever worker is free takes the next item.
 
 Determinism contract: each case's localization touches only that case's
-dataset and engine, warm clones are bitwise-equal to cold builds (the
-engine layer's invariant), and results are reassembled by submission
-sequence id — so fleet output is **bit-identical to a serial run** of
-the same cases, whatever the worker interleaving, worker count, quota
-pressure, or crash pattern.  The property suite drives randomized
+dataset and engine, patched and warm-cloned engines are bitwise-equal to
+cold builds (the delta session's invariant), and results are reassembled
+by submission sequence id — so fleet output is **bit-identical to a
+serial run** of the same cases, whatever the worker interleaving, worker
+count, quota pressure, or crash pattern.  The property suite drives randomized
 interleavings through the ``inline`` mode to check exactly this.
 
 Admission control: each tenant may hold at most
@@ -44,16 +43,11 @@ import inspect
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..core.engine import (
-    AggregationEngine,
-    engine_for,
-    install_engine,
-    release_engine,
-)
+from ..core.delta import DeltaSession, DeltaTick
 from ..data.dataset import FineGrainedDataset
 from ..data.injection import LocalizationCase
 from ..experiments.runner import CaseResult, MethodEvaluation
@@ -100,7 +94,7 @@ class FleetConfig:
     #: Workers serving each schema layout's FIFO.
     shards_per_layout: int = 2
     #: Cases a worker takes from its FIFO per trip.  ``1`` runs the
-    #: per-case path with warm engine reuse; larger values opt into the
+    #: per-case path with engine reuse; larger values opt into the
     #: method's case-stacked ``run_batch`` kernel when it has one.
     microbatch: int = 1
     #: Max queued (admitted, not yet completed) cases per tenant; excess
@@ -207,14 +201,23 @@ class CaseOutcome:
 
 @dataclass
 class _Worker:
-    """One worker of a layout FIFO and its private warm engine."""
+    """One worker of a layout FIFO and its private engine session."""
 
     worker_id: int
     layout: LayoutKey
-    #: The engine of the last case this worker ran (the warm source).
-    engine: Optional[AggregationEngine] = None
+    #: Carries the engine of the last case this worker ran to the next.
+    session: DeltaSession = field(default_factory=DeltaSession)
     #: The thread serving this worker, while one runs (thread mode).
     thread: Optional[threading.Thread] = None
+
+
+def _build_outcome(tick: DeltaTick) -> str:
+    """The ``fleet_engine_builds_total`` label of one resolved tick."""
+    if tick.path == "patched":
+        return "patched"
+    if tick.reason in ("first_tick", "layout_change"):
+        return "cold"
+    return "warm"
 
 
 @dataclass
@@ -233,9 +236,9 @@ class FleetSupervisor:
 
     One supervisor serves one *drain*: submit cases (all up front or
     incrementally), call :meth:`drain`, collect the
-    :class:`~repro.experiments.runner.MethodEvaluation`.  Engines stay
-    warm across drains on the same supervisor — that is what
-    :meth:`warm_start` exploits after a restart.
+    :class:`~repro.experiments.runner.MethodEvaluation`.  Worker
+    sessions keep their engines across drains on the same supervisor —
+    that is what :meth:`warm_start` exploits after a restart.
     """
 
     def __init__(
@@ -411,29 +414,6 @@ class FleetSupervisor:
 
     # -- execution ---------------------------------------------------------
 
-    def _engine_ready(self, worker: _Worker, case: LocalizationCase) -> None:
-        """Install a warm or cold engine for the case's dataset.
-
-        A warm clone is only legal over an identical leaf population
-        (same schema *and* codes); otherwise the build falls back cold.
-        Either way the worker keeps the dataset's engine as its new warm
-        source, and the previous source is released from its dataset so
-        that the finished case is freed by reference counting rather
-        than waiting for the cyclic collector.
-        """
-        cached = worker.engine
-        if cached is not None and cached.compatible_with(case.dataset):
-            engine = cached.warm_clone(case.dataset)
-            outcome = "warm"
-        else:
-            engine = engine_for(case.dataset)
-            outcome = "cold"
-        worker.engine = engine
-        if cached is not None and cached is not engine:
-            release_engine(cached)
-        if _trace.ACTIVE:
-            obs.inc("fleet_engine_builds_total", outcome=outcome)
-
     def _case_k(self, case: LocalizationCase) -> Optional[int]:
         return len(case.true_raps) if self.config.k_from_truth else self.config.k
 
@@ -463,9 +443,13 @@ class FleetSupervisor:
             if len(batch) > 1 and _trace.ACTIVE:
                 obs.inc("stacked_fallback_cases_total", len(batch))
             for item in batch:
-                self._engine_ready(worker, item.case)
+                # The session installs the tick's engine on the dataset,
+                # where the method's own engine lookup finds it.
+                tick = worker.session.begin_tick(item.case.dataset)
+                if _trace.ACTIVE:
+                    obs.inc("fleet_engine_builds_total", outcome=_build_outcome(tick))
                 if item.deadline_ms is not None and "budget" in self._runner_params:
-                    self._execute_budgeted(item, worker)
+                    seconds = self._execute_budgeted(item, worker)
                 else:
                     predicted, seconds = time_localization(
                         self.method.localize,
@@ -473,8 +457,9 @@ class FleetSupervisor:
                         self._item_k(item),
                     )
                     self._record(item, worker, list(predicted), seconds)
+                worker.session.record_tick_seconds(tick, seconds)
 
-    def _execute_budgeted(self, item: FleetItem, worker: _Worker) -> None:
+    def _execute_budgeted(self, item: FleetItem, worker: _Worker) -> float:
         """Run one deadline-carrying item through the method's ``run``.
 
         The per-item :class:`~repro.resilience.budget.Budget` starts
@@ -482,7 +467,8 @@ class FleetSupervisor:
         budget bounds (admission already shed anything that queued past
         its welcome).  Expiry ends the search at a layer boundary with
         the candidates found so far; the stop reason and ladder rung ride
-        back on the result row for the serving response.
+        back on the result row for the serving response.  Returns the
+        localization time.
         """
         kwargs = {"budget": Budget.from_ms(item.deadline_ms)}
         if item.degrade and "degradation" in self._runner_params:
@@ -501,6 +487,7 @@ class FleetSupervisor:
             stop_reason=getattr(stats, "stop_reason", None),
             tier=getattr(stats, "degradation_tier", None),
         )
+        return seconds
 
     def _run_guarded(self, worker: _Worker, batch: List[FleetItem]) -> None:
         """:meth:`_execute` with the crash-requeue-once protocol.
@@ -521,7 +508,7 @@ class FleetSupervisor:
             # localizer must still requeue or record its case, or drain()
             # would wait forever on a row that never comes.
             # The engine may be half-built; the next case starts cold.
-            worker.engine = None
+            worker.session.reset()
             if _trace.ACTIVE:
                 obs.inc("fleet_crashes_total")
             errors = []
@@ -799,26 +786,34 @@ class FleetSupervisor:
     # -- warm start --------------------------------------------------------
 
     def warm_start(self, store: FleetStore) -> int:
-        """Prime worker engines from a store's last case per tenant.
+        """Prime worker sessions from a store's last case per tenant.
 
         Replays each tenant's newest persisted case once per worker of
-        its layout — each worker gets its own engine, built and run once
-        to populate the code-derived caches — so the next drain's
-        compatible cases take the ``warm`` build path instead of cold
-        aggregation.  Returns the number of tenants primed.  Build
-        counters attribute these runs to ``outcome="warmstart"``, keeping
-        the serving-path ``cold`` count honest.  Call it before
-        :meth:`drain` or :meth:`start_serving`; nothing is queued, so
-        already submitted cases are untouched.
+        its layout — each worker's session gets its own engine, built and
+        run once to populate the caches — so the next drain's cases over
+        the same leaf population take the ``patched`` or ``warm`` build
+        path instead of cold aggregation.  Returns the number of tenants
+        primed.  Build counters attribute these runs to
+        ``outcome="warmstart"``, keeping the serving-path ``cold`` count
+        honest.  Call it before :meth:`drain` or :meth:`start_serving`;
+        nothing is queued, so already submitted cases are untouched.
         """
         primed = 0
         for tenant, (__, case) in sorted(store.last_cases().items()):
             with self._lock:
                 workers = list(self._queue_for(layout_key(case.dataset)).workers)
             for worker in workers:
-                engine = install_engine(AggregationEngine(case.dataset))
-                self.method.localize(case.dataset, self._case_k(case))
-                worker.engine = engine
+                # A dataset object per worker: its engine lives on the
+                # dataset, and engines must not be shared across workers.
+                dataset = FineGrainedDataset(
+                    case.dataset.schema,
+                    case.dataset.codes,
+                    case.dataset.v,
+                    case.dataset.f,
+                    case.dataset.labels,
+                )
+                worker.session.begin_tick(dataset)
+                self.method.localize(dataset, self._case_k(case))
                 if _trace.ACTIVE:
                     obs.inc("fleet_engine_builds_total", outcome="warmstart")
             primed += 1

@@ -4,7 +4,7 @@ Metrics follow Prometheus conventions: ``*_total`` counters only go up,
 gauges hold a last-written value, histograms record cumulative bucket
 counts plus a running sum.  A metric is identified by its name *and* its
 fixed label set — ``engine_aggregate_total{path="cache_hit"}`` and
-``engine_aggregate_total{path="rollup"}`` are two series of one family.
+``engine_aggregate_total{path="cold"}`` are two series of one family.
 
 Every :class:`~repro.obs.trace.Collector` owns its own
 :class:`MetricRegistry`, so runs captured back to back never bleed counts
@@ -61,9 +61,6 @@ METRIC_HELP: Dict[str, str] = {
     "stacked_groups_total": "Shared-layout groups formed by run_batch",
     "stacked_batch_cases_total": "Cases localized through RAPMiner.run_batch",
     "stacked_fallback_cases_total": "Cases routed to the per-case loop (method has no run_batch)",
-    # -- incremental miner -------------------------------------------------
-    "incremental_runs_total": "IncrementalRAPMiner.run invocations by path",
-    "incremental_prescreen_total": "Prescreen outcomes on cached patterns",
     # -- streaming delta sessions ------------------------------------------
     "delta_ticks_total": "Delta-session ticks by path (patched vs cold) and fallback reason",
     "delta_changed_rows_total": "Changed leaf rows consumed by the patch kernel",
@@ -97,7 +94,7 @@ METRIC_HELP: Dict[str, str] = {
     "fleet_cases_total": "Cases submitted to the fleet supervisor",
     "fleet_queue_depth": "Queued cases per layout FIFO (gauge, labelled by layout)",
     "fleet_quota_deferrals_total": "Submissions parked in the overflow deque by the tenant quota",
-    "fleet_engine_builds_total": "Worker engine builds by outcome (warm, cold, warmstart)",
+    "fleet_engine_builds_total": "Worker engine builds by outcome (patched, warm, cold, warmstart)",
     "fleet_warm_starts_total": "Tenants primed from the store after a restart",
     "fleet_crashes_total": "Worker runs ended by an escaping exception",
     "fleet_requeues_total": "Crashed cases requeued once onto their layout FIFO",

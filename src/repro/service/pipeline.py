@@ -471,7 +471,7 @@ class LocalizationService:
     ) -> Tuple[List[AttributeCombination], Optional[str], Optional[str]]:
         """``(patterns, stop_reason, degradation_tier)`` from the localizer.
 
-        Localizers exposing a ``run`` method (RAPMiner, the incremental
+        Localizers exposing a ``run`` method (RAPMiner, the streaming
         miner) are invoked through it so search stats surface on the
         report; the budget/degradation kwargs are passed only when the
         signature accepts them, keeping any ``Localizer`` pluggable.
@@ -480,9 +480,8 @@ class LocalizationService:
         ``run`` accepts an ``engine``, the interval's engine comes from
         :meth:`DeltaSession.begin_tick` — patched from the previous
         alarmed interval when the churn is low, cold otherwise.
-        Localizers that manage their own engines (the incremental and
-        streaming miners) simply do not take the kwarg and bypass the
-        session entirely.
+        Localizers that manage their own engines (the streaming miner)
+        simply do not take the kwarg and bypass the session entirely.
         """
         runner = getattr(self.localizer, "run", None)
         if callable(runner):

@@ -3,7 +3,7 @@
 The evaluation harness (:mod:`repro.experiments.runner`) treats cases as
 independent problems; this module treats them as *consecutive ticks of
 one stream*, which is what the delta path
-(:class:`~repro.core.incremental.StreamingRAPMiner` over a
+(:class:`~repro.core.delta.StreamingRAPMiner` over a
 :class:`~repro.core.delta.DeltaSession`) is built for.  It backs the
 ``repro stream-localize`` subcommand and the ``make bench-stream``
 benchmark, and doubles as the reference harness for asserting the delta
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from ..core.incremental import StreamingRAPMiner
+from ..core.delta import StreamingRAPMiner
 from ..core.miner import RAPMiner
 from ..data.dataset import FineGrainedDataset
 from ..data.injection import LocalizationCase

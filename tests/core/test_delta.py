@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RAPMinerConfig
-from repro.core.delta import DeltaConfig, DeltaSession
-from repro.core.incremental import StreamingRAPMiner
+from repro.core.delta import DeltaConfig, DeltaSession, StreamingRAPMiner
 from repro.core.miner import RAPMiner
 from repro.data.dataset import FineGrainedDataset
 from repro.data.schema import schema_from_sizes
@@ -207,6 +206,24 @@ class TestEngineRelease:
         # Every engine but the session's current one is gone, although
         # the caller still holds every tick's dataset.
         assert alive == [False] * (len(ticks) - 1) + [True]
+
+    def test_reset_releases_the_held_engine(self, schema):
+        """After reset() the last tick's engine and dataset are freed by
+        reference counting once the caller drops the dataset."""
+        miner = StreamingRAPMiner(CONFIG, delta=DeltaConfig(crossover=0.5))
+        gc.collect()
+        gc.disable()
+        try:
+            for tick_data in make_flipping_ticks(schema, 3):
+                miner.run(tick_data)
+            del tick_data
+            engine = weakref.ref(miner.session._engine)
+            dataset = weakref.ref(miner.session._engine.dataset)
+            miner.reset()
+            alive = (engine() is not None, dataset() is not None)
+        finally:
+            gc.enable()
+        assert alive == (False, False)
 
 
 class TestLayoutChange:

@@ -92,48 +92,7 @@ class TestAggregateEquivalence:
             )
 
 
-class TestRollUp:
-    def test_rollup_agrees_with_leaf_aggregation(self):
-        """Sub-cuboid aggregates rolled up from the prepared base match the
-        direct leaf-level group-by exactly on the integer counts."""
-        rng = np.random.default_rng(11)
-        schema = schema_from_sizes([4, 3, 3])
-        # Duplicated leaf rows: the base groups strictly fewer rows than
-        # the table, so prepare() materializes it and roll-ups fire.
-        grids = np.meshgrid(*[np.arange(s) for s in schema.sizes], indexing="ij")
-        full_codes = np.stack([g.reshape(-1) for g in grids], axis=1)
-        codes = full_codes[rng.integers(0, schema.n_leaves, size=3 * schema.n_leaves)]
-        m = codes.shape[0]
-        dataset = FineGrainedDataset(
-            schema, codes, rng.uniform(1, 10, m), rng.uniform(1, 10, m), rng.random(m) < 0.4
-        )
-        engine = AggregationEngine(dataset)
-        # Disable the small-lattice prefetch so sub-cuboids must roll up.
-        engine._MAX_PREFETCH_CUBOIDS = 0
-        base = engine.prepare([0, 1, 2])
-        assert base is not None and len(base) < dataset.n_rows
-        for layer in (1, 2):
-            for subset in itertools.combinations(range(3), layer):
-                cuboid = Cuboid(subset)
-                _assert_aggregates_equal(engine.aggregate(cuboid), dataset.aggregate(cuboid))
-
-    def test_prepare_skips_base_as_wide_as_table(self):
-        """For a full cross-product table the base cannot beat a leaf pass,
-        so prepare() declines to materialize it."""
-        dataset = _random_dataset((4, 3, 3), 11)
-        assert AggregationEngine(dataset).prepare([0, 1, 2]) is None
-
-    def test_rollup_from_partial_base(self):
-        """A base over a strict attribute subset serves its own sub-cuboids."""
-        dataset = _random_dataset((3, 4, 2, 3), 13)
-        engine = AggregationEngine(dataset)
-        engine._MAX_PREFETCH_CUBOIDS = 0
-        engine.prepare([0, 2, 3])
-        for subset in [(0,), (2,), (3,), (0, 2), (0, 3), (2, 3)]:
-            _assert_aggregates_equal(
-                engine.aggregate(Cuboid(subset)), dataset.aggregate(Cuboid(subset))
-            )
-
+class TestPrepare:
     def test_prepare_empty_is_noop(self, fig7_dataset):
         assert AggregationEngine(fig7_dataset).prepare([]) is None
 
@@ -152,6 +111,27 @@ class TestRollUp:
             _assert_aggregates_equal(
                 engine.aggregate(Cuboid(subset)), dataset.aggregate(Cuboid(subset))
             )
+
+    def test_wide_lattice_is_left_to_layer_passes(self):
+        """Past the prefetch bound prepare() aggregates nothing, and the
+        layer passes match the leaf-level group-by, duplicated rows too."""
+        rng = np.random.default_rng(11)
+        schema = schema_from_sizes([4, 3, 3])
+        grids = np.meshgrid(*[np.arange(s) for s in schema.sizes], indexing="ij")
+        full_codes = np.stack([g.reshape(-1) for g in grids], axis=1)
+        codes = full_codes[rng.integers(0, schema.n_leaves, size=3 * schema.n_leaves)]
+        m = codes.shape[0]
+        dataset = FineGrainedDataset(
+            schema, codes, rng.uniform(1, 10, m), rng.uniform(1, 10, m), rng.random(m) < 0.4
+        )
+        engine = AggregationEngine(dataset)
+        engine._MAX_PREFETCH_CUBOIDS = 0
+        engine.prepare([0, 1, 2])
+        assert not engine._aggregates
+        for layer in (1, 2, 3):
+            cuboids = [Cuboid(s) for s in itertools.combinations(range(3), layer)]
+            for cuboid, aggregate in zip(cuboids, engine.layer_aggregates(cuboids)):
+                _assert_aggregates_equal(aggregate, dataset.aggregate(cuboid))
 
 
 class TestParallelism:

@@ -118,21 +118,6 @@ def test_fused_batch(table, label_p):
     )
 
 
-@given(tables(), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_fused_bincount(table, n_lanes):
-    sizes, codes, cuboids, rng = table
-    keys, capacity = linear_keys(codes, sizes, cuboids[0])
-    columns = [spread_floats(rng, keys.size) for _ in range(n_lanes)]
-    got = kernels.fused_bincount(keys, columns, capacity)
-    assert got.shape == (capacity, n_lanes)
-    for lane, column in enumerate(columns):
-        assert_bitwise(
-            np.ascontiguousarray(got[:, lane]),
-            np.bincount(keys, weights=column, minlength=capacity),
-        )
-
-
 @given(tables())
 @settings(max_examples=60, deadline=None)
 def test_count_and_weighted_bincount(table):

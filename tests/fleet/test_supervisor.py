@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -38,6 +39,24 @@ def serial(cases):
 
 
 TENANTS = ["alpha", "beta", "alpha", "gamma", "beta", "alpha"]
+
+
+class CandidateMiner(RAPMiner):
+    """RAPMiner whose ``localize`` returns full candidates."""
+
+    def localize(self, dataset, k=None):
+        return self.run(dataset, k).candidates
+
+
+def fresh_copy(dataset):
+    """The dataset with no engine and no shared arrays."""
+    return FineGrainedDataset(
+        dataset.schema,
+        dataset.codes.copy(),
+        dataset.v.copy(),
+        dataset.f.copy(),
+        dataset.labels.copy(),
+    )
 
 
 def assert_matches_serial(evaluation, serial):
@@ -238,10 +257,44 @@ class TestWarmEngines:
             outcome: collector.metrics.value(
                 "fleet_engine_builds_total", {"outcome": outcome}
             )
-            for outcome in ("cold", "warm")
+            for outcome in ("cold", "warm", "patched")
         }
         assert builds["cold"] == 1.0  # only the stream's first case
-        assert builds["warm"] == 3.0
+        # Identical ticks: every cached aggregate carries over unchanged.
+        assert builds["patched"] == 3.0
+        assert builds["warm"] == 0.0
+
+    def test_low_churn_stream_takes_patched_path(self, cases):
+        """Ticks that redraw only a few leaves' forecasts are patched, and
+        every tick's candidates equal a stateless run on a fresh copy."""
+        base = cases[0].dataset
+        rng = np.random.default_rng(3)
+        stream = []
+        for i in range(5):
+            f = base.f.copy()
+            rows = rng.choice(base.n_rows, size=2, replace=False)
+            f[rows] *= rng.uniform(1.1, 1.5, rows.size)
+            stream.append(
+                LocalizationCase(
+                    case_id=f"tick-{i}",
+                    dataset=FineGrainedDataset(
+                        base.schema, base.codes, base.v, f, base.labels
+                    ),
+                    true_raps=cases[0].true_raps,
+                )
+            )
+        with obs.capture() as collector:
+            evaluation = fleet_localize(
+                CandidateMiner(),
+                stream,
+                config=FleetConfig(mode="inline", shards_per_layout=1),
+            )
+        metrics = collector.metrics
+        assert metrics.value("fleet_engine_builds_total", {"outcome": "cold"}) == 1.0
+        assert metrics.value("fleet_engine_builds_total", {"outcome": "patched"}) == 4.0
+        for case, row in zip(stream, evaluation.results):
+            assert row.error is None
+            assert row.predicted == RAPMiner().run(fresh_copy(case.dataset)).candidates
 
     def test_warm_path_is_bit_identical(self, cases):
         base = cases[0]
@@ -307,9 +360,13 @@ class TestEngineRelease:
             gc.enable()
         assert len(evaluation.results) == len(bodies)
         assert all(r.error is None for r in evaluation.results)
-        warm = [w.engine for w in supervisor._workers if w.engine is not None]
-        assert warm
-        assert survivors == {id(e) for e in warm} | {id(e.dataset) for e in warm}
+        held = [
+            w.session._engine
+            for w in supervisor._workers
+            if w.session._engine is not None
+        ]
+        assert held
+        assert survivors == {id(e) for e in held} | {id(e.dataset) for e in held}
 
 
 class TestFastPresetSmoke:

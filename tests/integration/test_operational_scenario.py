@@ -1,18 +1,19 @@
-"""Combined operational scenario: service + warm-start miner over a trace.
+"""Combined operational scenario: the service's delta session over a trace.
 
 The closest thing to a staging-environment test: a two-day monitored
 trace with a multi-interval regional outage and a later site failure,
 driven through the full stack — seasonal forecasting, aggregate alarm,
-leaf detection, warm-start localization — and scored with the temporal
-evaluation harness.
+leaf detection, localization on an engine carried across the alarmed
+intervals — and scored with the temporal evaluation harness.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.attribute import AttributeCombination
 from repro.core.config import RAPMinerConfig
-from repro.core.incremental import IncrementalRAPMiner
+from repro.core.miner import RAPMiner
 from repro.data.cdn_simulator import CDNSimulator, CDNSimulatorConfig
 from repro.data.schema import cdn_schema
 from repro.data.trace import Incident, IncidentSchedule
@@ -49,14 +50,13 @@ def scenario():
     )
     schedule = IncidentSchedule([outage, site_failure])
 
-    miner = IncrementalRAPMiner(RAPMinerConfig())
     service = LocalizationService(
         schema=simulator.schema,
         codes=codes,
         forecaster=SeasonalNaiveForecaster(period=PERIOD),
         detector=DeviationThresholdDetector(threshold=0.3),
         alarm=DeviationAlarm(threshold=0.04),
-        localizer=miner,
+        localizer=RAPMiner(RAPMinerConfig()),
         history_capacity=PERIOD,
         min_history=PERIOD,
     )
@@ -64,11 +64,12 @@ def scenario():
         [simulator.snapshot(step).v for step in range(0, 1440, SAMPLE_EVERY)]
     )
     service.warm_up(warmup)
-    evaluation = evaluate_service(
-        service, simulator, schedule, n_steps=PERIOD,
-        sample_every=SAMPLE_EVERY, start_minute=1440,
-    )
-    return evaluation, miner, (outage, site_failure)
+    with obs.capture() as collector:
+        evaluation = evaluate_service(
+            service, simulator, schedule, n_steps=PERIOD,
+            sample_every=SAMPLE_EVERY, start_minute=1440,
+        )
+    return evaluation, collector.metrics, (outage, site_failure)
 
 
 class TestOperationalScenario:
@@ -93,11 +94,16 @@ class TestOperationalScenario:
                 assert step in alarmed, step
 
     def test_warm_start_carried_the_long_outage(self, scenario):
-        """The 7-interval outage should be one full run + fast-path hits."""
-        __, miner, (outage, __) = scenario
+        """One engine is built from scratch; every later alarmed interval
+        reuses the previous one's (every leaf's value moves each interval,
+        so the session warm-clones rather than patches)."""
+        __, metrics, (outage, __) = scenario
         outage_intervals = outage.end - outage.start + 1
-        assert miner.stats.fast_path_hits >= outage_intervals - 2
-        assert miner.stats.full_runs < miner.stats.total
+        first = {"path": "cold", "reason": "first_tick"}
+        assert metrics.value("delta_ticks_total", first) == 1.0
+        ticks = metrics.family_total("delta_ticks_total")
+        assert ticks >= outage_intervals
+        assert metrics.value("engine_warm_clones_total") == ticks - 1
 
     def test_reports_carry_impact(self, scenario):
         evaluation, __, (outage, __) = scenario

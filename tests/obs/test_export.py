@@ -78,12 +78,12 @@ class TestPrometheusText:
     def test_family_headers_render_once(self):
         registry = MetricRegistry()
         registry.counter("engine_aggregate_total", {"path": "cache_hit"}).inc(3)
-        registry.counter("engine_aggregate_total", {"path": "rollup"}).inc(1)
+        registry.counter("engine_aggregate_total", {"path": "cold"}).inc(1)
         text = prometheus_text(registry)
         assert text.count("# HELP engine_aggregate_total") == 1
         assert text.count("# TYPE engine_aggregate_total counter") == 1
         assert 'engine_aggregate_total{path="cache_hit"} 3' in text
-        assert 'engine_aggregate_total{path="rollup"} 1' in text
+        assert 'engine_aggregate_total{path="cold"} 1' in text
         assert text.endswith("\n")
 
     def test_gauge_and_float_rendering(self):

@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.classification_power import delete_redundant_attributes
-from repro.core.incremental import IncrementalRAPMiner
+from repro.core.delta import StreamingRAPMiner
 from repro.core.miner import RAPMiner
 from repro.core.search import layerwise_topdown_search
 from repro.obs import report as obs_report
@@ -114,17 +114,20 @@ class TestStageSpans:
         assert collector.metrics.value("miner_runs_total") == 1.0
 
     def test_incremental_counters_by_path(self, example_dataset):
-        miner = IncrementalRAPMiner()
+        miner = StreamingRAPMiner()
         with obs.capture() as collector:
             first = miner.run(example_dataset)
             second = miner.run(example_dataset)
         assert second.candidates == first.candidates
         metrics = collector.metrics
-        assert metrics.family_total("incremental_runs_total") == 2.0
-        assert metrics.family_total("incremental_prescreen_total") >= 1.0
-        spans = collector.find_spans("incremental.run")
-        assert len(spans) == 2
-        assert spans[0].attributes["prescreen"] == "no_previous"
+        assert metrics.family_total("delta_ticks_total") == 2.0
+        assert (
+            metrics.value("delta_ticks_total", {"path": "cold", "reason": "first_tick"})
+            == 1.0
+        )
+        assert metrics.value("delta_ticks_total", {"path": "patched", "reason": "none"}) == 1.0
+        spans = collector.find_spans("streaming.run")
+        assert [span.attributes["path"] for span in spans] == ["cold", "patched"]
 
 
 class TestReportRendering:

@@ -121,6 +121,6 @@ class TestFamilyHelp:
 
     def test_catalogue_fills_family_help_for_later_series(self):
         registry = MetricRegistry()
-        registry.counter("engine_aggregate_total", {"path": "rollup"})
+        registry.counter("engine_aggregate_total", {"path": "cold"})
         later = registry.counter("engine_aggregate_total", {"path": "cache_hit"})
         assert later.help == METRIC_HELP["engine_aggregate_total"]

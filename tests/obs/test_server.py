@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.core.config import RAPMinerConfig
 from repro.core.delta import DeltaConfig
-from repro.core.incremental import StreamingRAPMiner
+from repro.core.delta import StreamingRAPMiner
 from repro.data.cdn_simulator import CDNSimulator, CDNSimulatorConfig
 from repro.data.dataset import FineGrainedDataset
 from repro.data.injection import inject_failures, sample_raps

@@ -6,7 +6,7 @@ import pytest
 from repro.core.attribute import AttributeCombination
 from repro.core.config import RAPMinerConfig
 from repro.core.delta import DeltaConfig
-from repro.core.incremental import StreamingRAPMiner
+from repro.core.delta import StreamingRAPMiner
 from repro.data.cdn_simulator import CDNSimulator, CDNSimulatorConfig
 from repro.data.injection import LocalizationCase, inject_failures, sample_raps
 from repro.data.schema import cdn_schema
