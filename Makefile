@@ -25,10 +25,12 @@ fleet-check:
 	pytest tests/fleet/ tests/property/test_fleet_properties.py tests/property/test_incremental_properties.py -p no:cacheprovider
 
 # Serving gate (tier-1): protocol/admission/server suites, the request
-# codec's case columns (data/io.py) and the end-to-end smoke — boot
-# `repro serve` in a child process, submit cases over HTTP and binary
-# frames, assert bit-identical answers vs an in-process run, scrape
-# /metrics off the same port, SIGINT-drain clean.
+# codec's case columns (data/io.py), a 2,000-request soak of the binary
+# plane (tests/serving/test_soak.py: fds, threads and traced memory stay
+# flat) and the end-to-end smoke — boot `repro serve` in a child
+# process, submit cases over HTTP and raw-column binary frames, refuse a
+# protocol-1 frame, assert bit-identical answers vs an in-process run,
+# scrape /metrics off the same port, SIGINT-drain clean.
 serve-smoke:
 	pytest tests/serving/ tests/property/test_serving_properties.py tests/data/test_io.py tests/property/test_data_properties.py -p no:cacheprovider
 

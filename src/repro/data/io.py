@@ -18,8 +18,15 @@ Two interchange formats are provided:
   the narrowest of ``|u1``/``<u2``/``<u4`` that holds the schema's
   largest attribute.  :func:`case_from_dict` also accepts each column as
   a plain JSON number list (the older form, and the one hand-written
-  request bodies use), and rejects a packed column whose dtype, byte
-  length or label values disagree with the schema and row count.
+  request bodies use).  Both forms pass one column validator, which
+  rejects a column whose dtype (or list item kind), row count or label
+  values disagree with the schema; nothing is coerced.
+* **Raw columns** for RPSV request frames: :func:`case_to_columns`
+  gives a JSON head (the same fields, each column a
+  ``{"dtype", "offset", "length"}`` descriptor) and the four raw
+  buffers, and :func:`case_from_columns` decodes them through the same
+  validator, after checking that the columns tile their bytes exactly.
+  No base64 and no number parsing on this path.
 * **NPZ** for the same bundles in binary form: the four leaf-table arrays
   are stored as raw numpy buffers (no ``tolist()`` round-trip, no float
   re-parsing) with the non-array fields in an embedded JSON header.  JSON
@@ -35,7 +42,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +57,9 @@ __all__ = [
     "schema_from_dict",
     "case_to_dict",
     "case_from_dict",
+    "case_to_columns",
+    "case_from_columns",
+    "COLUMNS",
     "save_cases",
     "load_cases",
     "save_cases_npz",
@@ -112,6 +122,17 @@ _VALUE_DTYPE = "<f8"
 _LABEL_DTYPE = "|u1"
 #: Candidate packed dtypes of the ``codes`` column, narrowest first.
 _CODE_DTYPES = ("|u1", "<u2", "<u4")
+#: The leaf-table columns, in the order an RPSV request frame carries them.
+COLUMNS = ("codes", "v", "f", "labels")
+#: In-memory dtype of each column once decoded.
+_NATIVE = {"codes": np.int64, "v": np.float64, "f": np.float64, "labels": bool}
+#: numpy dtype kinds a list-form column may hold, and their description.
+_LIST_KINDS = {
+    "codes": ("iu", "integers"),
+    "v": ("iuf", "numbers"),
+    "f": ("iuf", "numbers"),
+    "labels": ("biu", "0/1 integers or booleans"),
+}
 
 
 def _code_dtype(schema: AttributeSchema) -> str:
@@ -120,33 +141,98 @@ def _code_dtype(schema: AttributeSchema) -> str:
     return next(dtype for dtype in _CODE_DTYPES if largest <= np.iinfo(dtype).max)
 
 
-def _pack(array: np.ndarray, dtype: str) -> Dict[str, str]:
-    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
-    return {"dtype": dtype, "b64": base64.b64encode(raw).decode("ascii")}
+def _wire_dtypes(schema: AttributeSchema) -> Dict[str, str]:
+    """The packed dtype of each column for *schema*."""
+    return {
+        "codes": _code_dtype(schema),
+        "v": _VALUE_DTYPE,
+        "f": _VALUE_DTYPE,
+        "labels": _LABEL_DTYPE,
+    }
 
 
-def _unpack(
-    data: Dict, key: str, dtype: str, native, per_row: int, n_rows: Optional[int]
-) -> np.ndarray:
-    """Column *key* of a case dict as an owned array of dtype *native*.
+def _column_bytes(dataset: FineGrainedDataset) -> Dict[str, Tuple[str, bytes]]:
+    """Each column's packed dtype and raw little-endian buffer, in wire order."""
+    dtypes = _wire_dtypes(dataset.schema)
+    return {
+        key: (
+            dtypes[key],
+            np.ascontiguousarray(getattr(dataset, key), dtype=dtypes[key]).tobytes(),
+        )
+        for key in COLUMNS
+    }
 
-    A column that is a JSON object is packed: it must carry exactly
-    ``dtype`` and ``b64``, the dtype the schema calls for, and
-    ``per_row`` items per row — ``n_rows`` rows when that is already
-    known.  Any other column is the list form.
+
+def _column(key: str, values: np.ndarray, per_row: int, n_rows: Optional[int]) -> np.ndarray:
+    """The column validator that every wire form ends in.
+
+    *values* holds column *key*'s items flat, in a dtype the caller has
+    already matched to the schema.  Checks a whole number of rows of
+    *per_row* items — ``n_rows`` rows when that is already known — and
+    that ``labels`` holds only 0 and 1.  Returns an owned array of the
+    column's in-memory dtype, never a view of the request's bytes.
     """
+    rows, rest = divmod(values.size, per_row)
+    if rest or (n_rows is not None and rows != n_rows):
+        wanted = "a whole number of" if n_rows is None else n_rows
+        raise ValueError(
+            f"column {key!r} holds {values.size} items, not {wanted} rows of {per_row}"
+        )
+    if key == "labels" and values.size and (values.min() < 0 or values.max() > 1):
+        raise ValueError(f"column {key!r} holds a value other than 0 or 1")
+    # astype copies: the dataset owns its buffer and the request bytes can go.
+    return values.astype(_NATIVE[key])
+
+
+def _buffer_column(
+    key: str, declared, raw, dtype: str, per_row: int, n_rows: Optional[int]
+) -> np.ndarray:
+    """Column *key* from its raw buffer (packed and RPSV forms)."""
+    if declared != dtype:
+        raise ValueError(
+            f"column {key!r} has dtype {declared!r}; this schema needs {dtype!r}"
+        )
+    row_bytes = per_row * np.dtype(dtype).itemsize
+    if len(raw) % row_bytes:
+        raise ValueError(
+            f"column {key!r} holds {len(raw)} bytes, not whole rows of {row_bytes} bytes"
+        )
+    return _column(key, np.frombuffer(raw, dtype=dtype), per_row, n_rows)
+
+
+def _list_column(key: str, items: list, per_row: int, n_rows: Optional[int]) -> np.ndarray:
+    """Column *key* from the list form: its items must be of the right kind.
+
+    ``codes`` may be nested rows or one flat list; the other columns are
+    flat.  Nothing is coerced: a float code, a string value or a label
+    outside {0, 1} is rejected, not truncated or parsed.
+    """
+    try:
+        values = np.asarray(items)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"list column {key!r} is not a regular array: {exc}") from None
+    kinds, wanted = _LIST_KINDS[key]
+    if values.size and values.dtype.kind not in kinds:
+        raise ValueError(f"list column {key!r} must hold {wanted}, got {values.dtype}")
+    nested = key == "codes" and values.ndim == 2 and values.shape[1] == per_row
+    if values.ndim != 1 and not nested:
+        raise ValueError(f"list column {key!r} has shape {values.shape}")
+    return _column(key, values.reshape(-1), per_row, n_rows)
+
+
+def _dict_column(
+    data: Dict, key: str, dtype: str, per_row: int, n_rows: Optional[int]
+) -> np.ndarray:
+    """Column *key* of a case dict: packed object or list form."""
     column = data[key]
+    if isinstance(column, list):
+        return _list_column(key, column, per_row, n_rows)
     if not isinstance(column, dict):
-        return np.asarray(column, dtype=native)
+        raise ValueError(f"column {key!r} must be a packed object or a list")
     if set(column) != {"dtype", "b64"}:
         raise ValueError(
             f"packed column {key!r} needs exactly the keys 'b64' and 'dtype', "
             f"got {sorted(column)}"
-        )
-    if column["dtype"] != dtype:
-        raise ValueError(
-            f"packed column {key!r} has dtype {column['dtype']!r}; "
-            f"this schema needs {dtype!r}"
         )
     if not isinstance(column["b64"], str):
         raise ValueError(f"packed column {key!r}: 'b64' must be a string")
@@ -154,54 +240,32 @@ def _unpack(
         raw = base64.b64decode(column["b64"], validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
         raise ValueError(f"packed column {key!r} is not base64: {exc}") from None
-    row_bytes = per_row * np.dtype(dtype).itemsize
-    rows, rest = divmod(len(raw), row_bytes)
-    if rest or (n_rows is not None and rows != n_rows):
-        wanted = "a whole number of" if n_rows is None else n_rows
-        raise ValueError(
-            f"packed column {key!r} holds {len(raw)} bytes, "
-            f"not {wanted} rows of {row_bytes} bytes"
-        )
-    values = np.frombuffer(raw, dtype=dtype)
-    if key == "labels" and values.size and values.max() > 1:
-        raise ValueError(f"packed column {key!r} holds a value other than 0 or 1")
-    # astype copies: the dataset owns its buffer and the request bytes can go.
-    return values.astype(native)
+    return _buffer_column(key, column["dtype"], raw, dtype, per_row, n_rows)
 
 
-def case_to_dict(case: LocalizationCase) -> Dict:
-    """JSON-ready representation of a localization case (packed columns)."""
-    dataset = case.dataset
+def _case_fields(case: LocalizationCase) -> Dict:
+    """Everything of a case dict but its columns."""
     return {
         "case_id": case.case_id,
-        "schema": schema_to_dict(dataset.schema),
-        "codes": _pack(dataset.codes, _code_dtype(dataset.schema)),
-        "v": _pack(dataset.v, _VALUE_DTYPE),
-        "f": _pack(dataset.f, _VALUE_DTYPE),
-        "labels": _pack(dataset.labels, _LABEL_DTYPE),
+        "schema": schema_to_dict(case.dataset.schema),
         "true_raps": [str(rap) for rap in case.true_raps],
         "metadata": _jsonify(case.metadata),
     }
 
 
-def case_from_dict(data: Dict) -> LocalizationCase:
-    """Inverse of :func:`case_to_dict`; also reads the list-form columns.
-
-    Raises ``ValueError`` when a packed column has the wrong dtype for
-    the schema, a byte length that does not match the row count, or
-    (``labels``) a value other than 0 or 1.
-    """
+def _decode_case(data: Dict, column) -> LocalizationCase:
+    """A case from the fields of *data* and ``column(key, dtype, per_row, n_rows)``."""
     schema = schema_from_dict(data["schema"])
+    dtypes = _wire_dtypes(schema)
     width = schema.n_attributes
-    codes = _unpack(data, "codes", _code_dtype(schema), np.int64, width, None)
-    codes = codes.reshape(-1, width)
+    codes = column("codes", dtypes["codes"], width, None).reshape(-1, width)
     n_rows = len(codes)
     dataset = FineGrainedDataset(
         schema,
         codes,
-        _unpack(data, "v", _VALUE_DTYPE, np.float64, 1, n_rows),
-        _unpack(data, "f", _VALUE_DTYPE, np.float64, 1, n_rows),
-        _unpack(data, "labels", _LABEL_DTYPE, bool, 1, n_rows),
+        column("v", dtypes["v"], 1, n_rows),
+        column("f", dtypes["f"], 1, n_rows),
+        column("labels", dtypes["labels"], 1, n_rows),
     )
     raps = tuple(AttributeCombination.parse(text) for text in data["true_raps"])
     return LocalizationCase(
@@ -209,6 +273,92 @@ def case_from_dict(data: Dict) -> LocalizationCase:
         dataset=dataset,
         true_raps=raps,
         metadata=dict(data.get("metadata", {})),
+    )
+
+
+def case_to_dict(case: LocalizationCase) -> Dict:
+    """JSON-ready representation of a localization case (packed columns)."""
+    data = _case_fields(case)
+    for key, (dtype, raw) in _column_bytes(case.dataset).items():
+        data[key] = {"dtype": dtype, "b64": base64.b64encode(raw).decode("ascii")}
+    return data
+
+
+def case_from_dict(data: Dict) -> LocalizationCase:
+    """Inverse of :func:`case_to_dict`; also reads the list-form columns.
+
+    Raises ``ValueError`` when a packed column has the wrong dtype for
+    the schema, a byte length that does not match the row count, or
+    (``labels``) a value other than 0 or 1, and when a list-form column
+    holds items of the wrong kind (a float code, a string value, a
+    label other than 0 or 1) or the wrong number of rows.
+    """
+    return _decode_case(
+        data,
+        lambda key, dtype, per_row, n_rows: _dict_column(data, key, dtype, per_row, n_rows),
+    )
+
+
+def case_to_columns(case: LocalizationCase) -> Tuple[Dict, List[bytes]]:
+    """The raw-column form of a case: a JSON-ready head and four buffers.
+
+    The head holds :func:`case_to_dict`'s fields, except that each column
+    is a descriptor ``{"dtype", "offset", "length"}`` locating its raw
+    little-endian buffer in the byte string the buffers form back to
+    back, in :data:`COLUMNS` order.  This is the case part of an RPSV
+    request frame (``docs/serving.md``).
+    """
+    head = _case_fields(case)
+    buffers = []
+    offset = 0
+    for key, (dtype, raw) in _column_bytes(case.dataset).items():
+        head[key] = {"dtype": dtype, "offset": offset, "length": len(raw)}
+        buffers.append(raw)
+        offset += len(raw)
+    return head, buffers
+
+
+def case_from_columns(head: Dict, tail) -> LocalizationCase:
+    """Inverse of :func:`case_to_columns`; *tail* is the buffers' bytes.
+
+    Each column descriptor must carry exactly ``dtype``, ``offset`` and
+    ``length``, and the columns must tile *tail* exactly, in
+    :data:`COLUMNS` order: no column past its end, no overlap, no gap,
+    no trailing byte.  The column checks are those of
+    :func:`case_from_dict`, and the arrays are copies, so *tail* can go.
+    Raises ``ValueError`` on any violation.
+    """
+    view = memoryview(tail)
+    buffers = {}
+    position = 0
+    for key in COLUMNS:
+        column = head[key]
+        if not isinstance(column, dict) or set(column) != {"dtype", "offset", "length"}:
+            raise ValueError(
+                f"column {key!r} needs exactly the keys 'dtype', 'length' and 'offset'"
+            )
+        offset, length = column["offset"], column["length"]
+        if type(offset) is not int or type(length) is not int or offset < 0 or length < 0:
+            raise ValueError(f"column {key!r}: offset and length must be integers >= 0")
+        if offset + length > len(view):
+            raise ValueError(
+                f"column {key!r} spans bytes {offset}-{offset + length} "
+                f"of {len(view)} column bytes"
+            )
+        if offset != position:
+            raise ValueError(
+                f"column {key!r} starts at byte {offset}, not at {position} "
+                f"where the column before it ends"
+            )
+        position = offset + length
+        buffers[key] = (column["dtype"], view[offset:position])
+    if position != len(view):
+        raise ValueError(f"{len(view) - position} bytes follow the last column")
+    return _decode_case(
+        head,
+        lambda key, dtype, per_row, n_rows: _buffer_column(
+            key, *buffers[key], dtype, per_row, n_rows
+        ),
     )
 
 

@@ -635,12 +635,26 @@ class FleetSupervisor:
                 if not batch:
                     return
                 self._run_guarded(worker, batch)
+                self._forget_served(batch)
         finally:
             # Normal retirement already cleared the slot inside _acquire;
             # this only covers an exception escaping the loop.
             with self._lock:
                 if worker.thread is threading.current_thread():
                     worker.thread = None
+
+    def _forget_served(self, batch: List[FleetItem]) -> None:
+        """Drop a finished batch's rows while serving.
+
+        :attr:`on_result` has delivered them and no :meth:`drain` reads
+        them, so keeping them would grow a long-running server by one
+        row per request.  A requeued item has no row yet; its row goes
+        when the batch that finishes it does.
+        """
+        with self._lock:
+            if self._serving:
+                for item in batch:
+                    self._rows.pop(item.seq, None)
 
     def _live_threads(self) -> List[threading.Thread]:
         with self._lock:
@@ -786,23 +800,31 @@ class FleetSupervisor:
     # -- warm start --------------------------------------------------------
 
     def warm_start(self, store: FleetStore) -> int:
-        """Prime worker sessions from a store's last case per tenant.
+        """Prime each worker's session once from a store's newest cases.
 
-        Replays each tenant's newest persisted case once per worker of
-        its layout — each worker's session gets its own engine, built and
-        run once to populate the caches — so the next drain's cases over
-        the same leaf population take the ``patched`` or ``warm`` build
-        path instead of cold aggregation.  Returns the number of tenants
-        primed.  Build counters attribute these runs to
+        A worker's session holds one tick, so each worker is primed
+        once: a layout's newest persisted cases (the last one of each
+        tenant, newest first) are dealt across its workers, and when the
+        layout has more workers than cases, the cases go round again.
+        Each worker's session gets its own engine, built and run once to
+        populate the caches, so the next cases over the same leaf
+        population take the ``patched`` or ``warm`` build path instead
+        of cold aggregation.  Returns the number of tenants whose case
+        primed a worker.  Build counters attribute these runs to
         ``outcome="warmstart"``, keeping the serving-path ``cold`` count
         honest.  Call it before :meth:`drain` or :meth:`start_serving`;
         nothing is queued, so already submitted cases are untouched.
         """
-        primed = 0
-        for tenant, (__, case) in sorted(store.last_cases().items()):
+        newest: Dict[LayoutKey, List[Tuple[int, str, LocalizationCase]]] = {}
+        for tenant, (seq, case) in store.last_cases().items():
+            newest.setdefault(layout_key(case.dataset), []).append((seq, tenant, case))
+        primed = set()
+        for layout, entries in sorted(newest.items()):
+            entries.sort(key=lambda entry: entry[0], reverse=True)
             with self._lock:
-                workers = list(self._queue_for(layout_key(case.dataset)).workers)
-            for worker in workers:
+                workers = list(self._queue_for(layout).workers)
+            for index, worker in enumerate(workers):
+                __, tenant, case = entries[index % len(entries)]
                 # A dataset object per worker: its engine lives on the
                 # dataset, and engines must not be shared across workers.
                 dataset = FineGrainedDataset(
@@ -816,10 +838,10 @@ class FleetSupervisor:
                 self.method.localize(dataset, self._case_k(case))
                 if _trace.ACTIVE:
                     obs.inc("fleet_engine_builds_total", outcome="warmstart")
-            primed += 1
+                primed.add(tenant)
         if _trace.ACTIVE and primed:
-            obs.inc("fleet_warm_starts_total", primed)
-        return primed
+            obs.inc("fleet_warm_starts_total", len(primed))
+        return len(primed)
 
     # -- accounting --------------------------------------------------------
 

@@ -36,8 +36,13 @@ def localize_payload(
     deadline_ms: Optional[float] = None,
     request_id: Optional[str] = None,
 ) -> Dict:
-    """The request object both clients send (see ``docs/serving.md``)."""
-    payload: Dict = {"case": case_to_dict(case)}
+    """The request object both clients send (see ``docs/serving.md``).
+
+    ``case`` stays a :class:`LocalizationCase`; each client serializes it
+    for its plane: :class:`ServingClient` as a ``case_to_dict`` bundle,
+    :func:`~repro.serving.protocol.encode_frame` as raw columns.
+    """
+    payload: Dict = {"case": case}
     if tenant is not None:
         payload["tenant"] = tenant
     if k is not None:
@@ -66,9 +71,9 @@ class ServingClient:
         request_id: Optional[str] = None,
     ) -> Dict:
         """POST one case; returns the decoded response body."""
-        body = json.dumps(
-            localize_payload(case, tenant, k, deadline_ms, request_id)
-        ).encode("utf-8")
+        payload = localize_payload(case, tenant, k, deadline_ms, request_id)
+        payload["case"] = case_to_dict(case)
+        body = json.dumps(payload).encode("utf-8")
         status, _, data = self.request("POST", "/localize", body)
         response = json.loads(data.decode("utf-8"))
         response["http_status"] = status

@@ -2,12 +2,18 @@
 
 One request/response vocabulary serves both listeners:
 
-* **HTTP JSON** — ``POST /localize`` with a JSON body; responses are
-  JSON with an HTTP status mirroring the typed code.
+* **HTTP JSON** — ``POST /localize`` with a JSON body whose ``case`` is
+  a :func:`~repro.data.io.case_to_dict` bundle; responses are JSON with
+  an HTTP status mirroring the typed code.
 * **Binary (RPSV)** — a length-prefixed frame stream for agents that
   submit every tick: ``b"RPSV"`` magic, a version byte, a kind byte
   (request / response / error), a big-endian ``u32`` payload length,
-  then the UTF-8 JSON payload.  Same JSON vocabulary, no HTTP overhead.
+  then the payload.  A request payload (version 2) is a big-endian
+  ``u32`` head length, a UTF-8 JSON head carrying the request fields
+  and the case's fields with a ``{"dtype", "offset", "length"}``
+  descriptor per leaf-table column, then the four raw column buffers
+  back to back (:func:`~repro.data.io.case_to_columns`): no base64 and
+  no number parsing.  Response and error payloads are UTF-8 JSON.
 
 Every failure mode has a **typed code** (:data:`ERROR_CODES`,
 :data:`SHED_CODES`) so clients branch on ``code``, never on prose, and
@@ -30,11 +36,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..data.injection import LocalizationCase
-from ..data.io import case_from_dict
+from ..data.io import COLUMNS, case_from_columns, case_from_dict, case_to_columns
 
 __all__ = [
     "ERROR_CODES",
     "FRAME_HEADER",
+    "HEAD_LENGTH",
     "KIND_ERROR",
     "KIND_REQUEST",
     "KIND_RESPONSE",
@@ -55,10 +62,14 @@ __all__ = [
 
 #: Frame magic: four bytes at the start of every binary frame.
 MAGIC = b"RPSV"
-#: Wire protocol version carried in every frame header.
-PROTOCOL_VERSION = 1
+#: Wire protocol version carried in every frame header.  Version 2
+#: request frames carry raw column buffers; version 1 frames (JSON
+#: payloads with base64 columns) are refused with ``bad_frame``.
+PROTOCOL_VERSION = 2
 #: ``>4s B B I`` — magic, version, kind, payload length (big-endian).
 FRAME_HEADER = struct.Struct(">4sBBI")
+#: ``>I`` — byte length of a request payload's JSON head (big-endian).
+HEAD_LENGTH = struct.Struct(">I")
 
 #: Frame kinds.
 KIND_REQUEST = 1
@@ -116,24 +127,37 @@ class LocalizeRequest:
     request_id: Optional[str] = None
 
 
-def parse_request(payload: bytes) -> LocalizeRequest:
-    """Decode and validate one request payload (HTTP body or frame).
+#: Request fields besides the case, on both planes.
+_REQUEST_FIELDS = frozenset({"tenant", "k", "deadline_ms", "request_id"})
+#: Fields of an HTTP request body.
+_BODY_FIELDS = _REQUEST_FIELDS | {"case"}
+#: Fields of an RPSV request head: the request's and the case's.
+_HEAD_FIELDS = _REQUEST_FIELDS | {"case_id", "schema", "true_raps", "metadata", *COLUMNS}
 
-    Raises :class:`ProtocolError` with ``bad_json`` / ``bad_request`` /
-    ``bad_case`` — the caller maps the code to a response; nothing
-    invalid gets past this function.
+
+def parse_request(payload: bytes, binary: bool = False) -> LocalizeRequest:
+    """Decode and validate one request payload.
+
+    *payload* is an HTTP body, or with *binary* the payload of an RPSV
+    request frame.  Raises :class:`ProtocolError` with ``bad_json`` /
+    ``bad_request`` / ``bad_case`` — the caller maps the code to a
+    response; nothing invalid gets past this function.
     """
-    try:
-        data = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("bad_json", f"request payload is not JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ProtocolError("bad_request", "request must be a JSON object")
-    unknown = set(data) - {"case", "tenant", "k", "deadline_ms", "request_id"}
+    if binary:
+        data, tail = _split_head(payload)
+        fields = _HEAD_FIELDS
+    else:
+        try:
+            data = json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise ProtocolError("bad_json", f"request payload is not JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ProtocolError("bad_request", "request must be a JSON object")
+        fields = _BODY_FIELDS
+    unknown = set(data) - fields
     if unknown:
         raise ProtocolError("bad_request", f"unknown fields: {sorted(unknown)}")
-    case_data = data.get("case")
-    if not isinstance(case_data, dict):
+    if not binary and not isinstance(data.get("case"), dict):
         raise ProtocolError("bad_request", "'case' must be a case bundle object")
     k = data.get("k")
     if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
@@ -151,7 +175,7 @@ def parse_request(payload: bytes) -> LocalizeRequest:
     if tenant is not None and not isinstance(tenant, str):
         raise ProtocolError("bad_request", "'tenant' must be a string")
     try:
-        case = case_from_dict(case_data)
+        case = case_from_columns(data, tail) if binary else case_from_dict(data["case"])
     except Exception as exc:  # noqa: BLE001 - any decode failure is the client's
         raise ProtocolError("bad_case", f"case bundle does not decode: {exc}")
     if tenant is None:
@@ -163,6 +187,33 @@ def parse_request(payload: bytes) -> LocalizeRequest:
         deadline_ms=None if deadline_ms is None else float(deadline_ms),
         request_id=request_id,
     )
+
+
+def _split_head(payload: bytes) -> Tuple[Dict, memoryview]:
+    """An RPSV request payload's JSON head, and a view of the column bytes.
+
+    A payload too short for its head length, or whose head is not a
+    UTF-8 JSON object, is a ``bad_request``.
+    """
+    if len(payload) < HEAD_LENGTH.size:
+        raise ProtocolError(
+            "bad_request", f"request payload needs a {HEAD_LENGTH.size}-byte head length"
+        )
+    (length,) = HEAD_LENGTH.unpack_from(payload)
+    end = HEAD_LENGTH.size + length
+    if end > len(payload):
+        raise ProtocolError(
+            "bad_request",
+            f"head declares {length} bytes; the payload holds "
+            f"{len(payload) - HEAD_LENGTH.size} after the head length",
+        )
+    try:
+        head = json.loads(payload[HEAD_LENGTH.size : end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise ProtocolError("bad_request", f"request head is not JSON: {exc}")
+    if not isinstance(head, dict):
+        raise ProtocolError("bad_request", "request head must be a JSON object")
+    return head, memoryview(payload)[end:]
 
 
 # -- response bodies -------------------------------------------------------
@@ -237,11 +288,33 @@ def http_status_for(body: Dict) -> int:
 
 
 def encode_frame(kind: int, payload: Dict) -> bytes:
-    """One RPSV frame: header plus the JSON payload."""
+    """One RPSV frame: header plus payload.
+
+    A request *payload* is a :func:`~repro.serving.client.localize_payload`
+    object, whose ``case`` is a :class:`LocalizationCase`: it travels as
+    the version-2 head and raw columns.  Response and error payloads
+    travel as JSON.
+    """
     if kind not in (KIND_REQUEST, KIND_RESPONSE, KIND_ERROR):
         raise ValueError(f"unknown frame kind {kind!r}")
-    body = json.dumps(payload).encode("utf-8")
-    return FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, len(body)) + body
+    if kind == KIND_REQUEST:
+        parts = _request_parts(payload)
+    else:
+        parts = [json.dumps(payload).encode("utf-8")]
+    length = sum(len(part) for part in parts)
+    return b"".join([FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, length), *parts])
+
+
+def _request_parts(payload: Dict) -> list:
+    """The byte strings of a request frame's payload, in order."""
+    fields = dict(payload)
+    case = fields.pop("case", None)
+    if not isinstance(case, LocalizationCase):
+        raise TypeError("a request frame's payload needs a LocalizationCase as 'case'")
+    head, buffers = case_to_columns(case)
+    head.update(fields)
+    text = json.dumps(head).encode("utf-8")
+    return [HEAD_LENGTH.pack(len(text)), text, *buffers]
 
 
 def decode_frame(data: bytes, max_payload: Optional[int] = None) -> Tuple[int, bytes]:

@@ -377,7 +377,7 @@ class LocalizationServer:
         started = time.perf_counter()
         request_id: Optional[str] = None
         try:
-            request = parse_request(payload)
+            request = parse_request(payload, binary=protocol == "binary")
             request_id = request.request_id
             if self._allowed is not None and request.tenant not in self._allowed:
                 raise ProtocolError(

@@ -296,6 +296,41 @@ class TestReplayAndWarmStart:
         assert all(r.error is None for r in evaluation.results)
 
 
+    def test_warm_start_primes_each_worker_once(self, tmp_path, cases):
+        """Three tenants on one layout, two workers: two priming runs.
+
+        A worker's session keeps only its last tick, so priming it with
+        every tenant's case threw all but the last away (six runs, four
+        discarded).  The two newest stored cases prime one worker each.
+        """
+        path = tmp_path / "fleet.log"
+        with FleetStore(path) as store:
+            for seq, tenant in enumerate(["a", "b", "c", "a"]):
+                store.append_case(seq, tenant, cases[seq])
+
+        primed = []
+
+        class CountingMiner(RAPMiner):
+            def localize(self, dataset, k=None):
+                primed.append(dataset)
+                return super().localize(dataset, k)
+
+        config = FleetConfig(mode="inline", shards_per_layout=2)
+        supervisor = FleetSupervisor(CountingMiner(), config=config)
+        with obs.capture() as collector:
+            with FleetStore(path, mode="r") as store:
+                assert supervisor.warm_start(store) == 2
+        assert len(primed) == 2
+        builds = collector.metrics
+        assert (
+            builds.value("fleet_engine_builds_total", {"outcome": "warmstart"}) == 2.0
+        )
+        assert builds.value("fleet_warm_starts_total") == 2.0
+        # Newest first: tenant "a" (seq 3), then "c" (seq 2), one per worker.
+        for dataset, case in zip(primed, [cases[3], cases[2]]):
+            assert np.array_equal(dataset.v, case.dataset.v)
+
+
 class TestStoreMetrics:
     def test_appends_and_recovery_are_counted(self, tmp_path, cases):
         path = tmp_path / "fleet.log"

@@ -6,14 +6,15 @@ import json
 
 import pytest
 
-from repro.data.io import case_to_dict
+from repro.data.io import COLUMNS, case_to_dict
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
-from repro.serving import protocol
+from repro.serving import localize_payload, protocol
 from tests.conftest import list_form_dict
 from repro.serving.protocol import (
     ERROR_CODES,
     FRAME_HEADER,
+    HEAD_LENGTH,
     KIND_REQUEST,
     KIND_RESPONSE,
     MAGIC,
@@ -43,9 +44,50 @@ def request_bytes(case, **extra) -> bytes:
 class TestFraming:
     def test_round_trip(self):
         payload = {"hello": "world", "n": 3}
-        kind, body = decode_frame(encode_frame(KIND_REQUEST, payload))
-        assert kind == KIND_REQUEST
+        kind, body = decode_frame(encode_frame(KIND_RESPONSE, payload))
+        assert kind == KIND_RESPONSE
         assert json.loads(body) == payload
+
+    def test_request_frame_round_trip(self, case):
+        """A request frame carries the case as raw columns, bit-exact."""
+        frame = encode_frame(
+            KIND_REQUEST,
+            localize_payload(case, tenant="edge", k=2, deadline_ms=5, request_id="r1"),
+        )
+        assert frame[4] == protocol.PROTOCOL_VERSION == 2
+        kind, payload = decode_frame(frame)
+        assert kind == KIND_REQUEST
+        request = parse_request(payload, binary=True)
+        assert (request.tenant, request.k, request.deadline_ms, request.request_id) == (
+            "edge", 2, 5.0, "r1"
+        )
+        assert request.case.case_id == case.case_id
+        assert request.case.true_raps == case.true_raps
+        for column in COLUMNS:
+            got = getattr(request.case.dataset, column)
+            want = getattr(case.dataset, column)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_request_payload_layout(self, case):
+        """u32 head length, a JSON head, then the four raw columns tiled."""
+        __, payload = decode_frame(encode_frame(KIND_REQUEST, localize_payload(case)))
+        (length,) = HEAD_LENGTH.unpack_from(payload)
+        head = json.loads(payload[HEAD_LENGTH.size : HEAD_LENGTH.size + length])
+        tail = payload[HEAD_LENGTH.size + length :]
+        dataset = case.dataset
+        assert head["codes"] == {
+            "dtype": "|u1", "offset": 0, "length": dataset.codes.size
+        }
+        assert head["v"]["offset"] == dataset.codes.size
+        assert tail[head["v"]["offset"] :][: head["v"]["length"]] == dataset.v.tobytes()
+        assert head["labels"]["offset"] + head["labels"]["length"] == len(tail)
+        assert tail[head["labels"]["offset"] :] == dataset.labels.astype("u1").tobytes()
+        assert b"b64" not in payload[: HEAD_LENGTH.size + length]
+
+    def test_request_frame_needs_a_case_object(self, case):
+        with pytest.raises(TypeError):
+            encode_frame(KIND_REQUEST, {"case": case_to_dict(case)})
 
     def test_response_and_error_kinds_encode(self):
         for kind in (protocol.KIND_RESPONSE, protocol.KIND_ERROR):
@@ -62,26 +104,34 @@ class TestFraming:
         assert excinfo.value.code == "truncated"
 
     def test_truncated_payload(self):
-        frame = encode_frame(KIND_REQUEST, {"a": 1})
+        frame = encode_frame(KIND_RESPONSE, {"a": 1})
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(frame[:-2])
         assert excinfo.value.code == "truncated"
 
     def test_bad_magic(self):
-        frame = b"XXXX" + encode_frame(KIND_REQUEST, {})[4:]
+        frame = b"XXXX" + encode_frame(KIND_RESPONSE, {})[4:]
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(frame)
         assert excinfo.value.code == "bad_frame"
 
     def test_bad_version(self):
-        frame = bytearray(encode_frame(KIND_REQUEST, {}))
+        frame = bytearray(encode_frame(KIND_RESPONSE, {}))
         frame[4] = 99
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(bytes(frame))
         assert excinfo.value.code == "bad_frame"
 
+    def test_version_1_frame_refused(self, case):
+        """The JSON request frames of protocol version 1 are a bad_frame."""
+        body = request_bytes(case)
+        frame = FRAME_HEADER.pack(MAGIC, 1, KIND_REQUEST, len(body)) + body
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_frame(frame)
+        assert excinfo.value.code == "bad_frame"
+
     def test_bad_kind(self):
-        frame = bytearray(encode_frame(KIND_REQUEST, {}))
+        frame = bytearray(encode_frame(KIND_RESPONSE, {}))
         frame[5] = 9
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(bytes(frame))
@@ -130,6 +180,11 @@ class TestParseRequest:
             parse_request(b"{nope")
         assert excinfo.value.code == "bad_json"
 
+    def test_nesting_past_the_recursion_limit_is_bad_json(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(b"[" * 100_000)
+        assert excinfo.value.code == "bad_json"
+
     def test_non_utf8(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(b"\xff\xfe\x00")
@@ -166,6 +221,77 @@ class TestParseRequest:
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(b'{"case": {"schema": "not-a-schema"}}')
         assert excinfo.value.code == "bad_case"
+
+
+def frame_payload(case, **extra) -> bytes:
+    """The payload of a request frame for *case*."""
+    return decode_frame(encode_frame(KIND_REQUEST, localize_payload(case, **extra)))[1]
+
+
+def with_head(payload: bytes, head: bytes) -> bytes:
+    """*payload* with its JSON head replaced by the bytes *head*."""
+    (length,) = HEAD_LENGTH.unpack_from(payload)
+    return HEAD_LENGTH.pack(len(head)) + head + payload[HEAD_LENGTH.size + length :]
+
+
+def edit_head(payload: bytes, edit) -> bytes:
+    (length,) = HEAD_LENGTH.unpack_from(payload)
+    head = json.loads(payload[HEAD_LENGTH.size : HEAD_LENGTH.size + length])
+    edit(head)
+    return with_head(payload, json.dumps(head).encode())
+
+
+class TestParseRawColumns:
+    """``parse_request(payload, binary=True)``: the RPSV request form."""
+
+    def test_tenant_falls_back_to_case_metadata(self, case):
+        payload = edit_head(
+            frame_payload(case), lambda head: head["metadata"].update(tenant="m")
+        )
+        assert parse_request(payload, binary=True).tenant == "m"
+
+    def test_list_columns_are_not_a_frame_form(self, case):
+        payload = edit_head(
+            frame_payload(case),
+            lambda head: head.update(labels=case.dataset.labels.astype(int).tolist()),
+        )
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(payload, binary=True)
+        assert excinfo.value.code == "bad_case"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x00\x00", HEAD_LENGTH.pack(10) + b"{}"],
+        ids=["empty", "short_head_length", "head_past_payload"],
+    )
+    def test_head_length_defects(self, payload):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(payload, binary=True)
+        assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize("head", [b"{nope", b"\xff\xfe", b"[1, 2]"])
+    def test_head_not_a_json_object(self, case, head):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(with_head(frame_payload(case), head), binary=True)
+        assert excinfo.value.code == "bad_request"
+
+    def test_unknown_head_field(self, case):
+        payload = edit_head(frame_payload(case), lambda head: head.update(wat=1))
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(payload, binary=True)
+        assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize("k", [0, 1.5, True])
+    def test_bad_k(self, case, k):
+        payload = edit_head(frame_payload(case), lambda head: head.update(k=k))
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(payload, binary=True)
+        assert excinfo.value.code == "bad_request"
+
+    def test_an_http_body_is_not_a_frame_payload(self, case):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(request_bytes(case), binary=True)
+        assert excinfo.value.code == "bad_request"
 
 
 class TestBodies:

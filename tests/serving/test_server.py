@@ -19,11 +19,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.miner import RAPMiner
-from repro.data.io import case_to_dict
+from repro.data.io import COLUMNS, case_to_columns, case_to_dict
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
 from repro.obs.server import TelemetryServer
@@ -37,7 +38,13 @@ from repro.serving import (
     ServingConfig,
     encode_frame,
 )
-from repro.serving.protocol import FRAME_HEADER, MAGIC, PROTOCOL_VERSION
+from repro.serving.protocol import (
+    FRAME_HEADER,
+    HEAD_LENGTH,
+    KIND_ERROR,
+    MAGIC,
+    PROTOCOL_VERSION,
+)
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +249,16 @@ def _edit_bytes(column, edit):
     return {"dtype": column["dtype"], "b64": base64.b64encode(bytes(raw)).decode()}
 
 
-#: Packed-column defects: each must be a ``bad_case`` that never reaches
-#: the fleet.  Every edit takes and returns a packed case dict.
+def _listed(column, edit):
+    """*column* (a packed column object) in list form, with its items edited."""
+    items = np.frombuffer(base64.b64decode(column["b64"]), column["dtype"]).tolist()
+    edit(items)
+    return items
+
+
+#: Column defects: each must be a ``bad_case`` that never reaches the
+#: fleet.  Every edit takes and returns a packed case dict; the ``list_``
+#: ones send one column in list form.
 MALFORMED_COLUMNS = {
     "wrong_value_dtype": lambda d: {**d, "v": {**d["v"], "dtype": "<f4"}},
     "codes_wider_than_schema": lambda d: {**d, "codes": {**d["codes"], "dtype": "<u2"}},
@@ -257,6 +272,114 @@ MALFORMED_COLUMNS = {
     },
     "missing_b64": lambda d: {**d, "labels": {"dtype": d["labels"]["dtype"]}},
     "extra_key": lambda d: {**d, "codes": {**d["codes"], "shape": [1, 4]}},
+    "list_label_two": lambda d: {
+        **d, "labels": _listed(d["labels"], lambda items: items.__setitem__(0, 2))
+    },
+    "list_float_code": lambda d: {
+        **d, "codes": _listed(d["codes"], lambda items: items.__setitem__(0, 0.5))
+    },
+    "list_string_value": lambda d: {
+        **d, "v": _listed(d["v"], lambda items: items.__setitem__(0, "1.5"))
+    },
+}
+
+
+def _retile(head, columns):
+    """Lay the column buffers out back to back and describe them in *head*."""
+    offset = 0
+    for key in COLUMNS:
+        head[key].update(offset=offset, length=len(columns[key]))
+        offset += len(columns[key])
+
+
+def _set_column(key, edit):
+    """A frame edit that changes column *key*'s bytes and re-tiles the columns."""
+
+    def apply(head, columns):
+        raw = bytearray(columns[key])
+        edit(raw)
+        columns[key] = bytes(raw)
+        _retile(head, columns)
+
+    return apply
+
+
+def _set_dtype(key, dtype):
+    """A frame edit that declares *dtype* for column *key*."""
+    return lambda head, columns: head[key].update(dtype=dtype)
+
+
+def _frame_payload(case, edit=None, head_bytes=None):
+    """An RPSV request payload for *case* (k=1), edited.
+
+    *edit(head, columns)* changes the JSON head and the column buffers
+    (a dict in wire order) in place; the payload is laid out from what
+    it leaves.  *head_bytes* replaces the encoded head outright.
+    """
+    head, buffers = case_to_columns(case)
+    head["k"] = 1
+    columns = dict(zip(COLUMNS, buffers))
+    if edit is not None:
+        edit(head, columns)
+    if head_bytes is None:
+        head_bytes = json.dumps(head).encode()
+    return HEAD_LENGTH.pack(len(head_bytes)) + head_bytes + b"".join(columns.values())
+
+
+def _request_frame(payload):
+    return FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, KIND_REQUEST, len(payload)) + payload
+
+
+def _describe(key, **changes):
+    """A frame edit that changes column *key*'s descriptor."""
+    return lambda head, columns: head[key].update(changes)
+
+
+#: The binary plane's request defects, by name: every MALFORMED_COLUMNS
+#: defect mirrored on the raw columns, then those only a frame can have.
+#: Each value maps a case to a request payload.
+MALFORMED_FRAMES = {
+    "wrong_value_dtype": lambda c: _frame_payload(c, _set_dtype("v", "<f4")),
+    "codes_wider_than_schema": lambda c: _frame_payload(c, _set_dtype("codes", "<u2")),
+    "not_base64": lambda c: _frame_payload(c, _describe("f", offset="0")),
+    "partial_row": lambda c: _frame_payload(c, _set_column("v", lambda raw: raw.pop())),
+    "one_row_short": lambda c: _frame_payload(
+        c, _set_column("f", lambda raw: raw.__delitem__(slice(-8, None)))
+    ),
+    "label_two": lambda c: _frame_payload(
+        c, _set_column("labels", lambda raw: raw.__setitem__(0, 2))
+    ),
+    "missing_b64": lambda c: _frame_payload(
+        c, lambda head, columns: head["labels"].pop("length")
+    ),
+    "extra_key": lambda c: _frame_payload(c, _describe("codes", shape=[1, 4])),
+    "list_label_two": lambda c: _frame_payload(
+        c, _set_column("labels", lambda raw: raw.__setitem__(-1, 255))
+    ),
+    "list_float_code": lambda c: _frame_payload(c, _set_dtype("codes", "<f8")),
+    "list_string_value": lambda c: _frame_payload(c, _set_dtype("v", "<U3")),
+    # Frame-only defects.
+    "head_length_past_payload": lambda c: HEAD_LENGTH.pack(1 << 30) + _frame_payload(c)[4:],
+    "head_not_json": lambda c: _frame_payload(c, head_bytes=b"{nope"),
+    "head_not_an_object": lambda c: _frame_payload(c, head_bytes=b"[1, 2]"),
+    "unknown_head_field": lambda c: _frame_payload(
+        c, lambda head, columns: head.update(shape=[1])
+    ),
+    "offset_out_of_range": lambda c: _frame_payload(c, _describe("labels", offset=1 << 40)),
+    "length_out_of_range": lambda c: _frame_payload(
+        c, lambda head, columns: head["labels"].update(length=head["labels"]["length"] + 8)
+    ),
+    "negative_length": lambda c: _frame_payload(c, _describe("v", length=-8)),
+    "overlapping_columns": lambda c: _frame_payload(
+        c, lambda head, columns: head["v"].update(offset=head["v"]["offset"] - 1)
+    ),
+    "gap_between_columns": lambda c: _frame_payload(
+        c, lambda head, columns: head["f"].update(offset=head["f"]["offset"] + 1)
+    ),
+    "trailing_bytes": lambda c: _frame_payload(c) + b"\x00",
+    "missing_column": lambda c: _frame_payload(
+        c, lambda head, columns: (head.pop("f"), columns.pop("f"))
+    ),
 }
 
 
@@ -358,6 +481,60 @@ class TestMalformedInput:
             assert json.loads(data)["code"] == "bad_case"
             assert submitted == []
             assert server.admission.depth == 0
+
+    def test_every_column_defect_is_mirrored_on_the_binary_plane(self):
+        assert set(MALFORMED_COLUMNS) <= set(MALFORMED_FRAMES)
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_is_refused_before_the_fleet(
+        self, cases, serial, defect, monkeypatch
+    ):
+        """A bad request frame gets a typed error frame; the connection
+        stays usable and the next valid frame is served."""
+        frame = _request_frame(MALFORMED_FRAMES[defect](cases[0]))
+        with serve() as server:
+            submitted = []
+            submit = server.supervisor.submit
+
+            def recording_submit(case, **kwargs):
+                submitted.append(case.case_id)
+                return submit(case, **kwargs)
+
+            monkeypatch.setattr(server.supervisor, "submit", recording_submit)
+            with BinaryServingClient("127.0.0.1", server.binary_port) as client:
+                client.send_raw(frame)
+                kind, payload = client._read_frame()
+                body = json.loads(payload)
+                assert kind == KIND_ERROR
+                assert body["code"] in ("bad_case", "bad_request")
+                if defect in MALFORMED_COLUMNS:
+                    assert body["code"] == "bad_case"
+                assert submitted == []
+                assert server.admission.depth == 0
+                case = cases[1]
+                body = client.localize(case, k=len(case.true_raps))
+                assert body["status"] == "ok"
+                assert body["root_causes"] == serial[case.case_id]
+                assert submitted == [case.case_id]
+
+    def test_binary_version_1_frame_is_refused_and_closed(self, cases):
+        """The JSON request frames of protocol version 1 get a kind-3
+        bad_frame and a close, and never reach the fleet."""
+        body = json.dumps({"case": case_to_dict(cases[0]), "k": 1}).encode()
+        frame = FRAME_HEADER.pack(MAGIC, 1, KIND_REQUEST, len(body)) + body
+        with serve() as server:
+            with BinaryServingClient("127.0.0.1", server.binary_port) as client:
+                client.send_raw(frame)
+                kind, payload = client._read_frame()
+                assert kind == KIND_ERROR
+                assert json.loads(payload)["code"] == "bad_frame"
+                try:
+                    assert client._sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass  # closed with request bytes still unread
+            assert server.admission.depth == 0
+            with BinaryServingClient("127.0.0.1", server.binary_port) as client:
+                assert client.localize(cases[0], k=1)["status"] == "ok"
 
     def test_http_unknown_tenant(self, cases):
         with serve(tenants=["edge-eu"]) as server:

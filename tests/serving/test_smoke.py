@@ -2,7 +2,8 @@
 
 This is the ``make serve-smoke`` suite: boot the CLI server in a child
 process, submit cases over HTTP (packed and list-form columns) and
-binary frames, verify the answers bit-exact against an in-process run,
+raw-column RPSV frames, refuse a protocol-1 frame, verify the answers
+bit-exact against an in-process run,
 scrape ``/metrics`` off the same port, and shut down cleanly — both by
 request count and by SIGINT.
 """
@@ -20,7 +21,18 @@ import pytest
 from repro.core.miner import RAPMiner
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
-from repro.serving import BinaryServingClient, ServingClient
+from repro.data.io import case_to_dict
+from repro.serving import (
+    KIND_ERROR,
+    KIND_REQUEST,
+    MAGIC,
+    PROTOCOL_VERSION,
+    BinaryServingClient,
+    ServingClient,
+    encode_frame,
+    localize_payload,
+)
+from repro.serving.protocol import FRAME_HEADER
 from tests.conftest import list_form_dict
 
 SERVE_ARGS = [
@@ -95,9 +107,24 @@ def stop(process):
     process.stdout.close()
 
 
+def refused_version_1_frame(port, case):
+    """Send one protocol-1 request frame; return the error frame's kind,
+    its body, and whether the server then closed the connection."""
+    body = json.dumps({"case": case_to_dict(case), "k": 1}).encode()
+    frame = FRAME_HEADER.pack(MAGIC, 1, KIND_REQUEST, len(body)) + body
+    with BinaryServingClient("127.0.0.1", port) as client:
+        client.send_raw(frame)
+        kind, payload = client._read_frame()
+        try:
+            closed = client._sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True  # closed with request bytes still unread
+    return kind, json.loads(payload), closed
+
+
 def test_serve_smoke_end_to_end(cases, serial):
     """Wire submission, bit-identity, metrics scrape, count-based exit."""
-    n_requests = len(cases) + 2
+    n_requests = 2 * len(cases) + 1
     process, http_port, binary_port = start_server(
         ["--max-requests", str(n_requests)]
     )
@@ -121,11 +148,23 @@ def test_serve_smoke_end_to_end(cases, serial):
         text = client.metrics()
         assert "serving_requests_total" in text
         assert 'protocol="http"' in text
-        # One more over the binary plane reaches --max-requests; the
-        # process drains its fleet and exits 0 on its own.
+        # A protocol-1 frame is refused with a kind-3 bad_frame and a
+        # close; it is not a served request.
+        kind, body, closed = refused_version_1_frame(binary_port, cases[0])
+        assert (kind, body["code"], closed) == (KIND_ERROR, "bad_frame", True)
+        # Every case once more as raw-column frames over one connection;
+        # the last reaches --max-requests, and the process drains its
+        # fleet and exits 0 on its own.
         with BinaryServingClient("127.0.0.1", binary_port) as binary:
-            body = binary.localize(cases[0], k=len(cases[0].true_raps))
-            assert body["root_causes"] == serial[cases[0].case_id]
+            for case in cases:
+                frame = encode_frame(
+                    KIND_REQUEST, localize_payload(case, k=len(case.true_raps))
+                )
+                assert frame[4] == PROTOCOL_VERSION == 2
+                binary.send_raw(frame)
+                body = binary.read_response()
+                assert body["status"] == "ok"
+                assert body["root_causes"] == serial[case.case_id]
         code, out = drain(process)
         assert code == 0, out
         assert f"served {n_requests} request(s)" in out
