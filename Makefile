@@ -16,8 +16,10 @@ chaos:
 docs-check:
 	pytest tests/test_docs.py -p no:cacheprovider
 
-# Fleet gate (tier-1): executor (per-layout FIFOs, crash protocol,
-# serving lifecycle), supervisor and store suites, the bitwise
+# Fleet gate (tier-1): executor (per-layout FIFOs, one case per worker
+# trip, crash protocol, serving lifecycle), supervisor and store suites,
+# the batch-localize configuration (one inline worker per layout,
+# tests/fleet/test_microbatch.py) vs serial, the bitwise
 # fleet-vs-serial property test, the bitwise carried-engine property
 # test (streaming miner and 1- and 2-worker fleets vs stateless), and a
 # 2-worker fast-preset smoke.
@@ -27,7 +29,8 @@ fleet-check:
 # Serving gate (tier-1): protocol/admission/server suites, the request
 # codec's case columns (data/io.py), a 2,000-request soak of the binary
 # plane (tests/serving/test_soak.py: fds, threads and traced memory stay
-# flat) and the end-to-end smoke — boot `repro serve` in a child
+# flat, run bare and again under the ring-only collector `repro serve`
+# installs) and the end-to-end smoke — boot `repro serve` in a child
 # process, submit cases over HTTP and raw-column binary frames, refuse a
 # protocol-1 frame, assert bit-identical answers vs an in-process run,
 # scrape /metrics off the same port, SIGINT-drain clean.

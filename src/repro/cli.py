@@ -11,10 +11,11 @@ Subcommands
     PATH`` to capture the run's spans and engine counters as JSONL (see
     ``docs/observability.md``).
 ``repro batch-localize``
-    Run one localizer over a saved bundle as one fleet micro-batch
-    (:mod:`repro.fleet`), which reaches the method's case-stacked
-    ``run_batch`` kernel.  Output is bit-identical to the serial
-    ``localize`` path; the command reports throughput.
+    Run one localizer over a saved bundle on the fleet
+    (:mod:`repro.fleet`): every case admitted at once, one inline worker
+    per schema layout carrying its engine across cases on a
+    :class:`~repro.core.delta.DeltaSession`.  Output is bit-identical to
+    the serial ``localize`` path; the command reports throughput.
 ``repro fleet-localize``
     Serve a saved bundle through the multi-tenant fleet
     (:mod:`repro.fleet`): one FIFO per schema layout served by workers
@@ -260,11 +261,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     failures = evaluation.failures()
     if failures:
         print(f"\n{len(failures)} case(s) returned error records (crashed twice)")
-    in_kernel = sum(r.seconds for r in evaluation.results)
+    localizing = sum(r.seconds for r in evaluation.results)
     throughput = len(cases) / wall if wall > 0 else float("inf")
     print(
-        f"\n{len(cases)} cases in one micro-batch per layout: {wall:.3f} s wall "
-        f"({in_kernel:.3f} s in-kernel), {throughput:.1f} cases/s"
+        f"\n{len(cases)} cases on one worker per layout: {wall:.3f} s wall "
+        f"({localizing:.3f} s localizing), {throughput:.1f} cases/s"
     )
     return 0
 
@@ -279,7 +280,6 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
     )
     config = FleetConfig(
         shards_per_layout=args.shards,
-        microbatch=args.microbatch,
         tenant_quota=args.tenant_quota,
         k=args.k,
         k_from_truth=args.k is None,
@@ -399,7 +399,7 @@ def _cmd_stream_localize(args: argparse.Namespace) -> int:
 
         host, port = _parse_serve_address(args.serve_metrics)
         tracker = SLOTracker()
-        with obs.capture():
+        with obs.capture(ring_only=True):
             with TelemetryServer(host=host, port=port) as server:
                 print(
                     f"telemetry: serving {server.url}/metrics "
@@ -448,7 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     method = _resolve_methods(args.method)[0]
     fleet_config = FleetConfig(
         shards_per_layout=args.shards,
-        microbatch=args.microbatch,
         tenant_quota=args.tenant_quota,
         k=args.k,
     )
@@ -470,7 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = FleetStore(args.store) if args.store else None
     supervisor = FleetSupervisor(method, config=fleet_config, store=store)
     try:
-        with obs.capture():
+        with obs.capture(ring_only=True):
             with LocalizationServer(supervisor, serving_config) as server:
                 binary = (
                     f", binary frames on port {server.binary_port}"
@@ -698,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch-localize",
-        help="run one localizer over a bundle as one stacked fleet micro-batch",
+        help="run one localizer over a bundle, one fleet worker per layout",
     )
     batch.add_argument("--cases", required=True, help="case bundle (.json or .npz)")
     batch.add_argument("--method", default="RAPMiner")
@@ -715,12 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
     fleet.add_argument(
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
-    )
-    fleet.add_argument(
-        "--microbatch",
-        type=int,
-        default=1,
-        help="cases a worker takes per trip (>1 uses the stacked kernel)",
     )
     fleet.add_argument(
         "--tenant-quota",
@@ -796,9 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
-    )
-    serve.add_argument(
-        "--microbatch", type=int, default=1, help="cases a worker takes per trip"
     )
     serve.add_argument(
         "--tenant-quota",

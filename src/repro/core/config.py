@@ -37,11 +37,6 @@ class RAPMinerConfig:
     #: Divide confidence by ``sqrt(layer)`` when ranking (Eq. 3); the
     #: ablation benches compare against raw-confidence ranking.
     layer_normalized_ranking: bool = True
-    #: Worker threads for per-layer cuboid aggregation.  ``1`` (default)
-    #: keeps the layer scan lazy — with early stop that skips cuboids the
-    #: search never reaches.  ``> 1`` aggregates each layer speculatively
-    #: across a thread pool; the candidate set is identical either way.
-    n_jobs: int = 1
     #: Wall-clock allowance per run in milliseconds (``None`` = unlimited).
     #: Checked cooperatively at BFS layer boundaries: an over-budget run
     #: returns the candidates found so far with
@@ -64,7 +59,5 @@ class RAPMinerConfig:
             raise ValueError("t_conf must lie in (0, 1)")
         if self.max_layer is not None and self.max_layer < 1:
             raise ValueError("max_layer must be at least 1")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0.0:
             raise ValueError("deadline_ms must be positive (or None for unlimited)")

@@ -445,12 +445,6 @@ class DeltaSession:
             stats.cold_ticks += 1
         if _trace.ACTIVE:
             obs.inc("delta_ticks_total", path=tick.path, reason=tick.reason or "none")
-            obs.set_gauge("delta_changed_fraction", tick.changed_fraction)
-            obs.set_gauge("delta_crossover_threshold", self.crossover)
-            if tick.path == "patched":
-                obs.inc("delta_changed_rows_total", tick.changed_rows)
-                obs.inc("delta_patched_cuboids_total", tick.patched_cuboids)
-                obs.inc("delta_patch_seconds_total", tick.patch_seconds)
 
 
 class StreamingRAPMiner:

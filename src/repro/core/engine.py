@@ -30,11 +30,6 @@ scan per combination.  :class:`AggregationEngine` shares that work:
 * **Inverted index** — lazily built per ``(attribute, element-code)``
   posting lists of leaf rows, so a combination's covered rows come from
   sorted-array intersections instead of repeated full-table masks.
-* **Parallel layer fan-out** — the batched passes of one BFS layer can be
-  chunked across a ``concurrent.futures`` thread pool
-  (:attr:`~repro.core.config.RAPMinerConfig.n_jobs`); every cuboid's
-  aggregate is independent, so results are identical for any worker
-  count.
 * **Warm cloning** — everything that depends only on the leaf *codes*
   (keys, postings, per-cuboid support/occupancy) survives a label/value
   refresh.  :class:`~repro.core.delta.DeltaSession` is the one owner that
@@ -47,16 +42,15 @@ pipeline and any baseline all hit the same cache, and the cache dies
 exactly when its dataset does.
 
 When a :mod:`repro.obs` collector is installed the engine reports its
-hot-path behaviour — aggregate resolution paths, bincount passes, prefetch
-decisions, thread-pool fan-out, row-cache hits — as counters; every bump
-sits behind the single ``obs.trace.ACTIVE`` flag, so uninstrumented runs
-pay one boolean read per site (see ``docs/observability.md``).
+hot-path behaviour — aggregate resolution paths, bincount passes, batched
+cuboids, warm clones — as counters; every bump sits behind the single
+``obs.trace.ACTIVE`` flag, so uninstrumented runs pay one boolean read
+per site (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -183,9 +177,6 @@ class AggregationEngine:
     dataset:
         The leaf table this engine serves.  One engine never outlives its
         dataset (see :func:`engine_for`).
-    n_jobs:
-        Default worker count for :meth:`layer_aggregates`; ``1`` keeps
-        everything on the calling thread.
     """
 
     #: The kernel set every pass runs on (:mod:`repro.core.kernels`);
@@ -196,11 +187,8 @@ class AggregationEngine:
     #: pass; wider attribute sets are aggregated layer by layer.
     _MAX_PREFETCH_CUBOIDS = 64
 
-    def __init__(self, dataset: FineGrainedDataset, n_jobs: int = 1):
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+    def __init__(self, dataset: FineGrainedDataset):
         self.dataset = dataset
-        self.n_jobs = n_jobs
         self._sizes = list(dataset.schema.sizes)
         #: indices tuple -> (sizes, strides, capacity); tiny, but recomputed
         #: on every call of the hot path without the cache.
@@ -366,10 +354,7 @@ class AggregationEngine:
         """
         indices = tuple(sorted(set(int(i) for i in attribute_indices)))
         if indices in self._prepared:
-            if _trace.ACTIVE:
-                obs.inc("engine_prepare_total", outcome="memoized")
             return
-        outcome = "no_prefetch"
         n_lattice = (1 << len(indices)) - 1
         if (
             indices
@@ -384,10 +369,7 @@ class AggregationEngine:
             ]
             if cold:
                 self._aggregate_batch(cold)
-            outcome = "full_lattice"
         self._prepared.add(indices)
-        if _trace.ACTIVE:
-            obs.inc("engine_prepare_total", outcome=outcome)
 
     def aggregate(self, cuboid: Cuboid) -> CuboidAggregate:
         """Cached per-cuboid aggregate (drop-in for ``dataset.aggregate``).
@@ -462,21 +444,13 @@ class AggregationEngine:
             lanes=base.lanes,
         )
 
-    def layer_aggregates(
-        self, cuboids: Sequence[Cuboid], n_jobs: Optional[int] = None
-    ) -> Iterator[CuboidAggregate]:
-        """Aggregates of one layer's cuboids, batch-fused and optionally threaded.
+    def layer_aggregates(self, cuboids: Sequence[Cuboid]) -> Iterator[CuboidAggregate]:
+        """Aggregates of one layer's cuboids, batch-fused.
 
-        Uncached cuboids are aggregated together in
-        chunked fused-bincount passes (see :meth:`_aggregate_batch`); with
-        ``n_jobs > 1`` the chunks run across a thread pool (``bincount``
-        releases no GIL but the array setup does, and chunks are
-        independent).  Results are yielded in input order and identical
-        for any worker count.
+        Uncached cuboids are aggregated together in fused-bincount passes
+        (see :meth:`_aggregate_batch`), chunked so no pass exceeds
+        ``_MAX_BATCH_ELEMENTS``.  Results are yielded in input order.
         """
-        jobs = self.n_jobs if n_jobs is None else n_jobs
-        if jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
         cold = [
             cuboid
             for cuboid in cuboids
@@ -485,31 +459,11 @@ class AggregationEngine:
         ]
         if cold:
             per_chunk = max(1, _MAX_BATCH_ELEMENTS // max(1, self.dataset.n_rows))
-            if jobs > 1:
-                per_chunk = max(1, min(per_chunk, -(-len(cold) // jobs)))
-            chunks = [cold[i : i + per_chunk] for i in range(0, len(cold), per_chunk)]
-            if _trace.ACTIVE:
-                obs.inc("engine_layer_chunks_total", len(chunks))
-            if jobs == 1 or len(chunks) == 1:
-                for chunk in chunks:
-                    self._aggregate_batch(chunk)
-            else:
-                if _trace.ACTIVE:
-                    obs.inc(
-                        "engine_layer_parallel_chunks_total",
-                        len(chunks),
-                        workers=str(min(jobs, len(chunks))),
-                    )
-                with ThreadPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-                    list(pool.map(self._aggregate_batch, chunks))
+            for i in range(0, len(cold), per_chunk):
+                self._aggregate_batch(cold[i : i + per_chunk])
         return iter([self.aggregate(cuboid) for cuboid in cuboids])
 
-    def layer_scan(
-        self,
-        cuboids: Sequence[Cuboid],
-        t_conf: float,
-        n_jobs: Optional[int] = None,
-    ):
+    def layer_scan(self, cuboids: Sequence[Cuboid], t_conf: float):
         """One BFS layer's ``(aggregate, anomalous group rows)`` pairs.
 
         The layer's per-group confidences are concatenated once per engine
@@ -530,7 +484,7 @@ class AggregationEngine:
             return memo
         entry = self._layer_confidences.get(key)
         if entry is None:
-            aggregates = list(self.layer_aggregates(cuboids, n_jobs))
+            aggregates = list(self.layer_aggregates(cuboids))
             confidences = [aggregate.confidence for aggregate in aggregates]
             concatenated = (
                 confidences[0] if len(confidences) == 1 else np.concatenate(confidences)
@@ -561,8 +515,6 @@ class AggregationEngine:
         """Sorted row postings per element code of one attribute (lazy)."""
         lists = self._postings.get(column)
         if lists is None:
-            if _trace.ACTIVE:
-                obs.inc("engine_postings_built_total")
             codes = self.dataset.codes[:, column]
             order = np.argsort(codes, kind="stable")
             bounds = np.searchsorted(codes[order], np.arange(self._sizes[column] + 1))
@@ -585,11 +537,6 @@ class AggregationEngine:
 
     def _rows_of_encoded(self, encoded: Tuple[int, ...]) -> np.ndarray:
         cached = self._rows.get(encoded)
-        if _trace.ACTIVE:
-            obs.inc(
-                "engine_rows_cache_total",
-                outcome="hit" if cached is not None else "miss",
-            )
         if cached is not None:
             return cached
         lists = [
@@ -629,11 +576,6 @@ class AggregationEngine:
             encoded[attr_index] = int(codes_row[position])
         key = tuple(encoded)
         cached = self._rows.get(key)
-        if _trace.ACTIVE:
-            obs.inc(
-                "engine_rows_cache_total",
-                outcome="hit" if cached is not None else "miss",
-            )
         if cached is not None:
             return cached
         __, strides, __ = self._geometry(indices)
@@ -689,7 +631,7 @@ class AggregationEngine:
             raise ValueError("warm_clone needs an identical leaf population")
         if _trace.ACTIVE:
             obs.inc("engine_warm_clones_total")
-        clone = AggregationEngine(dataset, n_jobs=self.n_jobs)
+        clone = AggregationEngine(dataset)
         clone._geometries = self._geometries
         clone._keys = self._keys
         clone._postings = self._postings
@@ -725,17 +667,10 @@ class NaiveAggregationEngine(AggregationEngine):
     ) -> CuboidAggregate:
         return self.dataset.with_labels(labels).aggregate(cuboid)
 
-    def layer_aggregates(
-        self, cuboids: Sequence[Cuboid], n_jobs: Optional[int] = None
-    ) -> Iterator[CuboidAggregate]:
+    def layer_aggregates(self, cuboids: Sequence[Cuboid]) -> Iterator[CuboidAggregate]:
         return (self.aggregate(cuboid) for cuboid in cuboids)
 
-    def layer_scan(
-        self,
-        cuboids: Sequence[Cuboid],
-        t_conf: float,
-        n_jobs: Optional[int] = None,
-    ):
+    def layer_scan(self, cuboids: Sequence[Cuboid], t_conf: float):
         # Lazy per-cuboid scan: cuboids past an early stop are never
         # aggregated, exactly like the pre-engine search.
         for cuboid in cuboids:
@@ -753,7 +688,7 @@ class NaiveAggregationEngine(AggregationEngine):
         return self.dataset.confidence(combination)
 
     def warm_clone(self, dataset: FineGrainedDataset) -> "AggregationEngine":
-        return NaiveAggregationEngine(dataset, n_jobs=self.n_jobs)
+        return NaiveAggregationEngine(dataset)
 
 
 class CandidateIndex:

@@ -164,7 +164,6 @@ class RAPMiner:
                 early_stop=cfg.early_stop,
                 max_layer=max_layer,
                 engine=engine,
-                n_jobs=cfg.n_jobs,
                 budget=budget,
             )
             outcome.stats.degradation_tier = tier
@@ -215,8 +214,8 @@ class RAPMiner:
         scores, stats and stop reasons — are bit-identical to calling
         :meth:`run` on every dataset individually, in input order.
 
-        This is the kernel behind the fleet's micro-batch path
-        (``FleetConfig.microbatch > 1``, and ``repro batch-localize``).
+        No serving or fleet path calls it; the offline batch benchmarks
+        (perfbench ``batch``, ``make bench-stacked``) measure it.
 
         ``budget`` and ``degradation`` behave as in :meth:`run`, with the
         budget shared by the whole batch.  A policy that steps off the

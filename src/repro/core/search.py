@@ -18,9 +18,7 @@ Aggregation goes through the dataset's shared :class:`AggregationEngine`
 (:func:`repro.core.engine.engine_for`): per-cuboid linear keys are cached,
 support and anomalous support come from one fused bincount pass per
 layer (or per prefetched lattice), and candidate coverage uses the
-engine's inverted index instead of full-table masks.  Pass ``n_jobs > 1``
-to fan each layer's cuboids across a thread pool; the candidate set is
-identical either way.
+engine's inverted index instead of full-table masks.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ def layerwise_topdown_search(
     early_stop: bool = True,
     max_layer: Optional[int] = None,
     engine: Optional[AggregationEngine] = None,
-    n_jobs: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> SearchOutcome:
     """Algorithm 2 over the cuboids spanned by *attribute_indices*.
@@ -116,10 +113,6 @@ def layerwise_topdown_search(
         Aggregation engine to use; defaults to the dataset's shared engine
         (:func:`repro.core.engine.engine_for`), so repeated searches and
         other consumers of the same interval reuse one cache.
-    n_jobs:
-        Worker count for per-layer cuboid fan-out; ``None`` inherits the
-        engine's default, ``1`` keeps the layer scan lazy (aggregating
-        only the cuboids the early stop actually reaches).
     budget:
         Optional cooperative deadline (:class:`~repro.resilience.Budget`),
         checked before each BFS layer.  An exhausted budget ends the
@@ -186,7 +179,6 @@ def layerwise_topdown_search(
                     deepest_layer=stats.deepest_layer_visited,
                     coverage_fraction=n_covered_anomalous / n_anomalous,
                 )
-                obs.inc("search_layers_total", stats.deepest_layer_visited)
                 obs.inc("search_cuboids_total", stats.n_cuboids_visited)
                 obs.inc("search_combinations_total", stats.n_combinations_evaluated)
                 obs.inc("search_candidates_total", stats.n_candidates)
@@ -221,7 +213,7 @@ def layerwise_topdown_search(
             with layer_cm as layer_span:
                 try:
                     for cuboid, (aggregate, anomalous_rows) in zip(
-                        cuboids, engine.layer_scan(cuboids, t_conf, n_jobs)
+                        cuboids, engine.layer_scan(cuboids, t_conf)
                     ):
                         stats.n_cuboids_visited += 1
                         stats.n_combinations_evaluated += len(aggregate)
@@ -298,7 +290,6 @@ class _CaseSearchState:
         self.stats.n_candidates = len(self.candidates)
         self.stats.stop_reason = stop_reason
         if traced:
-            obs.inc("search_layers_total", self.stats.deepest_layer_visited)
             obs.inc("search_cuboids_total", self.stats.n_cuboids_visited)
             obs.inc("search_combinations_total", self.stats.n_combinations_evaluated)
             obs.inc("search_candidates_total", self.stats.n_candidates)
@@ -411,7 +402,6 @@ def batched_layerwise_topdown_search(
             splits = np.searchsorted(hit_rows, np.arange(len(active) + 1))
             if traced:
                 obs.inc("stacked_layers_fused_total")
-                obs.inc("stacked_cases_active_total", len(active))
             still_active = []
             n_layer_candidates = 0
             for position, state_index in enumerate(active):

@@ -237,8 +237,6 @@ class StackedCaseEngine:
         if shape is None:
             keys, capacity = self.engine.linear_keys(cuboid)
             support = kernels.count_bincount(keys, capacity)
-            if _trace.ACTIVE:
-                obs.inc("stacked_bincount_passes_total", kind="support")
             occupied = np.flatnonzero(support)
             sizes = [self.schema.size(i) for i in indices]
             if len(sizes) == 1:
@@ -328,8 +326,6 @@ class StackedCaseEngine:
             counts = kernels.stacked_anomalous(
                 key_columns, offsets, total_capacity, rows_cat, lengths
             )
-            if _trace.ACTIVE:
-                obs.inc("stacked_bincount_passes_total", kind="anomalous")
             for j, shape in enumerate(shapes):
                 block = counts[:, offsets[j] : offsets[j] + shape.capacity]
                 results[j][chunk, :] = block[:, shape.occupied]
@@ -395,8 +391,6 @@ class StackedCaseEngine:
                     [self.datasets[s].f for s in chunk],
                 ],
             )
-            if _trace.ACTIVE:
-                obs.inc("stacked_bincount_passes_total", 2, kind="values")
             v_sums[start : start + len(chunk)] = v_all[:, shape.occupied]
             f_sums[start : start + len(chunk)] = f_all[:, shape.occupied]
         return [

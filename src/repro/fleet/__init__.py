@@ -3,8 +3,7 @@
 Every multi-case path of the repository — ``fleet-localize``,
 ``batch-localize`` and ``serve`` — runs here: one FIFO per schema layout,
 served by worker threads that each keep a private warm engine, plus
-per-tenant quotas, micro-batching through the case-stacked kernel and
-the crash protocol (:mod:`repro.fleet.supervisor`), and an append-only
+per-tenant quotas and the crash protocol (:mod:`repro.fleet.supervisor`), and an append-only
 segment-log store for replay, audit and warm starts
 (:mod:`repro.fleet.store`).  Output is bit-identical to a serial run —
 results are sequenced by submission id, never completion order.  See

@@ -93,10 +93,6 @@ class FleetConfig:
 
     #: Workers serving each schema layout's FIFO.
     shards_per_layout: int = 2
-    #: Cases a worker takes from its FIFO per trip.  ``1`` runs the
-    #: per-case path with engine reuse; larger values opt into the
-    #: method's case-stacked ``run_batch`` kernel when it has one.
-    microbatch: int = 1
     #: Max queued (admitted, not yet completed) cases per tenant; excess
     #: waits in the supervisor's overflow deque.
     tenant_quota: int = 8
@@ -122,23 +118,19 @@ class FleetConfig:
             raise ValueError(
                 f"shards_per_layout must be >= 1, got {self.shards_per_layout}"
             )
-        if self.microbatch < 1:
-            raise ValueError(f"microbatch must be >= 1, got {self.microbatch}")
         if self.tenant_quota < 1:
             raise ValueError(f"tenant_quota must be >= 1, got {self.tenant_quota}")
 
     @classmethod
     def one_batch(cls, n_cases: int, **overrides) -> "FleetConfig":
-        """The ``batch-localize`` configuration: one micro-batch per layout.
+        """The ``batch-localize`` configuration: one inline worker per layout.
 
-        Every case is admitted at once and one inline worker per layout
-        hands its whole FIFO to the method's case-stacked kernel.
+        Every case is admitted at once, and each layout's worker runs its
+        FIFO case by case on its :class:`~repro.core.delta.DeltaSession`.
         """
-        batch = max(1, n_cases)
         return cls(
             shards_per_layout=1,
-            microbatch=batch,
-            tenant_quota=batch,
+            tenant_quota=max(1, n_cases),
             mode="inline",
             **overrides,
         )
@@ -352,13 +344,10 @@ class FleetSupervisor:
             self._spawn_missing()
         return queue
 
-    def _enqueue(self, item: FleetItem, front: bool = False) -> None:
+    def _enqueue(self, item: FleetItem) -> None:
         """Put *item* on its layout's FIFO and wake one waiting worker."""
         queue = self._queue_for(item.layout)
-        if front:
-            queue.items.appendleft(item)
-        else:
-            queue.items.append(item)
+        queue.items.append(item)
         queue.ready.notify()
         if _trace.ACTIVE:
             obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
@@ -387,11 +376,11 @@ class FleetSupervisor:
             for queue in self._queues.values():
                 queue.ready.notify_all()
 
-    def _acquire(self, worker: _Worker, block: bool) -> List[FleetItem]:
-        """Up to ``microbatch`` items from the head of *worker*'s FIFO.
+    def _acquire(self, worker: _Worker, block: bool) -> Optional[FleetItem]:
+        """The item at the head of *worker*'s FIFO.
 
-        With ``block=True`` the call waits for items until the fleet is
-        closed; an empty return then retires the worker's thread.  The
+        With ``block=True`` the call waits for an item until the fleet is
+        closed; a ``None`` return then retires the worker's thread.  The
         retirement is recorded under the same lock hold as the decision,
         so :meth:`start_serving` either sees the thread live (and reuses
         it) or gone (and starts a fresh one) — never both.
@@ -402,15 +391,13 @@ class FleetSupervisor:
                 if self._closed or not block:
                     if block:
                         worker.thread = None
-                    return []
+                    return None
                 queue.ready.wait()
-            count = min(self.config.microbatch, len(queue.items))
-            batch = [queue.items.popleft() for __ in range(count)]
-            for item in batch:
-                item.attempts += 1
+            item = queue.items.popleft()
+            item.attempts += 1
             if _trace.ACTIVE:
                 obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
-            return batch
+            return item
 
     # -- execution ---------------------------------------------------------
 
@@ -420,44 +407,22 @@ class FleetSupervisor:
     def _item_k(self, item: FleetItem) -> Optional[int]:
         return item.k if item.k is not None else self._case_k(item.case)
 
-    def _fused(self, batch: List[FleetItem]) -> bool:
-        """True when *batch* runs as one case-stacked ``run_batch`` call."""
-        return len(batch) > 1 and hasattr(self.method, "run_batch")
-
-    def _execute(self, worker: _Worker, batch: List[FleetItem]) -> None:
-        """Run one taken micro-batch; a raise here is a worker crash."""
-        with obs.span("fleet.shard_batch", shard=worker.worker_id, cases=len(batch)):
-            if self._fused(batch):
-                start = time.perf_counter()
-                results = self.method.run_batch(
-                    [item.case.dataset for item in batch], k=None
+    def _execute(self, worker: _Worker, item: FleetItem) -> None:
+        """Run one taken item; a raise here is a worker crash."""
+        with obs.span("fleet.execute", shard=worker.worker_id):
+            # The session installs the tick's engine on the dataset, where
+            # the method's own engine lookup finds it.
+            tick = worker.session.begin_tick(item.case.dataset)
+            if _trace.ACTIVE:
+                obs.inc("fleet_engine_builds_total", outcome=_build_outcome(tick))
+            if item.deadline_ms is not None and "budget" in self._runner_params:
+                seconds = self._execute_budgeted(item, worker)
+            else:
+                predicted, seconds = time_localization(
+                    self.method.localize, item.case.dataset, self._item_k(item)
                 )
-                per_case = (time.perf_counter() - start) / len(batch)
-                for item, result in zip(batch, results):
-                    case_k = self._item_k(item)
-                    predicted = (
-                        result.patterns if case_k is None else result.top(case_k)
-                    )
-                    self._record(item, worker, list(predicted), per_case)
-                return
-            if len(batch) > 1 and _trace.ACTIVE:
-                obs.inc("stacked_fallback_cases_total", len(batch))
-            for item in batch:
-                # The session installs the tick's engine on the dataset,
-                # where the method's own engine lookup finds it.
-                tick = worker.session.begin_tick(item.case.dataset)
-                if _trace.ACTIVE:
-                    obs.inc("fleet_engine_builds_total", outcome=_build_outcome(tick))
-                if item.deadline_ms is not None and "budget" in self._runner_params:
-                    seconds = self._execute_budgeted(item, worker)
-                else:
-                    predicted, seconds = time_localization(
-                        self.method.localize,
-                        item.case.dataset,
-                        self._item_k(item),
-                    )
-                    self._record(item, worker, list(predicted), seconds)
-                worker.session.record_tick_seconds(tick, seconds)
+                self._record(item, worker, list(predicted), seconds)
+            worker.session.record_tick_seconds(tick, seconds)
 
     def _execute_budgeted(self, item: FleetItem, worker: _Worker) -> float:
         """Run one deadline-carrying item through the method's ``run``.
@@ -489,20 +454,14 @@ class FleetSupervisor:
         )
         return seconds
 
-    def _run_guarded(self, worker: _Worker, batch: List[FleetItem]) -> None:
+    def _run_guarded(self, worker: _Worker, item: FleetItem) -> None:
         """:meth:`_execute` with the crash-requeue-once protocol.
 
-        Rows recorded before the raise stand.  The per-case loop runs in
-        order, so the first unfinished item is the one that was running
-        when the worker crashed — the only one charged an attempt and
-        requeued.  The rest of the micro-batch never started: it goes
-        back to the head of the FIFO with its attempt refunded, so a case
-        never degrades to an error row for queueing behind a poison pill.
-        A fused ``run_batch`` crash cannot be pinned on one case, so
-        there every unfinished member is charged and requeued.
+        A crashed item goes back to the tail of its FIFO on its first
+        attempt and degrades to an error row on its second.
         """
         try:
-            self._execute(worker, batch)
+            self._execute(worker, item)
         except BaseException as exc:
             # BaseException too: a SystemExit or CancelledError escaping a
             # localizer must still requeue or record its case, or drain()
@@ -511,23 +470,17 @@ class FleetSupervisor:
             worker.session.reset()
             if _trace.ACTIVE:
                 obs.inc("fleet_crashes_total")
-            errors = []
             with self._lock:
                 self._crashes += 1
-                unfinished = [i for i in batch if i.seq not in self._rows]
-                crashed = unfinished if self._fused(batch) else unfinished[:1]
-                for item in reversed(unfinished[len(crashed):]):
-                    item.attempts -= 1
-                    self._enqueue(item, front=True)
-                for item in crashed:
-                    if item.attempts >= 2:
-                        errors.append(item)
-                        continue
+                # A crash after the row was recorded leaves nothing to redo.
+                finished = item.seq in self._rows
+                failed = not finished and item.attempts >= 2
+                if not finished and not failed:
                     self._requeues += 1
                     if _trace.ACTIVE:
                         obs.inc("fleet_requeues_total")
                     self._enqueue(item)
-            for item in errors:
+            if failed:
                 self._record_error(item, exc)
 
     # -- results -----------------------------------------------------------
@@ -631,11 +584,11 @@ class FleetSupervisor:
         """Thread body: run the worker's FIFO until the fleet closes."""
         try:
             while True:
-                batch = self._acquire(worker, block=True)
-                if not batch:
+                item = self._acquire(worker, block=True)
+                if item is None:
                     return
-                self._run_guarded(worker, batch)
-                self._forget_served(batch)
+                self._run_guarded(worker, item)
+                self._forget_served(item)
         finally:
             # Normal retirement already cleared the slot inside _acquire;
             # this only covers an exception escaping the loop.
@@ -643,18 +596,17 @@ class FleetSupervisor:
                 if worker.thread is threading.current_thread():
                     worker.thread = None
 
-    def _forget_served(self, batch: List[FleetItem]) -> None:
-        """Drop a finished batch's rows while serving.
+    def _forget_served(self, item: FleetItem) -> None:
+        """Drop a finished item's row while serving.
 
-        :attr:`on_result` has delivered them and no :meth:`drain` reads
-        them, so keeping them would grow a long-running server by one
-        row per request.  A requeued item has no row yet; its row goes
-        when the batch that finishes it does.
+        :attr:`on_result` has delivered it and no :meth:`drain` reads it,
+        so keeping it would grow a long-running server by one row per
+        request.  A requeued item has no row yet; its row goes when the
+        trip that finishes it does.
         """
         with self._lock:
             if self._serving:
-                for item in batch:
-                    self._rows.pop(item.seq, None)
+                self._rows.pop(item.seq, None)
 
     def _live_threads(self) -> List[threading.Thread]:
         with self._lock:
@@ -682,7 +634,7 @@ class FleetSupervisor:
 
         Each step, the workers whose FIFO holds items are enumerated in
         id order; ``config.schedule`` (a seeded RNG) or round-robin picks
-        one, which takes and runs one micro-batch.  The property suite
+        one, which takes and runs one item.  The property suite
         sweeps seeds here to prove output is interleaving-independent.
         """
         rng = self.config.schedule
@@ -699,9 +651,9 @@ class FleetSupervisor:
             else:
                 worker = ready[cursor % len(ready)]
                 cursor += 1
-            batch = self._acquire(worker, block=False)
-            if batch:
-                self._run_guarded(worker, batch)
+            item = self._acquire(worker, block=False)
+            if item is not None:
+                self._run_guarded(worker, item)
 
     def drain(self) -> MethodEvaluation:
         """Run every submitted case to completion and return the results.

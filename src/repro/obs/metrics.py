@@ -8,8 +8,8 @@ fixed label set — ``engine_aggregate_total{path="cache_hit"}`` and
 
 Every :class:`~repro.obs.trace.Collector` owns its own
 :class:`MetricRegistry`, so runs captured back to back never bleed counts
-into each other.  All mutation is lock-protected: the engine's layer
-fan-out bumps counters from worker threads.
+into each other.  All mutation is lock-protected: fleet worker
+threads and the serving event loop bump counters concurrently.
 
 ``METRIC_HELP`` is the subsystem's metric catalogue — instrumentation
 sites register metrics by name only and the registry fills in the help
@@ -38,16 +38,10 @@ METRIC_HELP: Dict[str, str] = {
     "engine_aggregate_total": "Cuboid aggregate requests by resolution path",
     "engine_bincount_passes_total": "np.bincount passes executed by the engine",
     "engine_batch_cuboids_total": "Cuboids aggregated through batched fused passes",
-    "engine_prepare_total": "prepare() prefetch decisions by outcome",
-    "engine_layer_chunks_total": "Batched chunks executed by layer_aggregates",
-    "engine_layer_parallel_chunks_total": "Chunks dispatched to the thread pool",
     "engine_layer_scan_memo_hits_total": "layer_scan results replayed from the (layer, t_conf) memo",
-    "engine_rows_cache_total": "Covered-row lookups by cache outcome",
-    "engine_postings_built_total": "Attribute posting lists materialized",
     "engine_warm_clones_total": "Engines warm-cloned across intervals",
     # -- two-stage miner ---------------------------------------------------
     "cp_attributes_total": "Algorithm 1 attribute decisions (kept vs deleted)",
-    "search_layers_total": "BFS layers entered by Algorithm 2",
     "search_cuboids_total": "Cuboids evaluated by Algorithm 2",
     "search_combinations_total": "Attribute combinations evaluated by Algorithm 2",
     "search_candidates_total": "RAP candidates accepted by Algorithm 2",
@@ -55,19 +49,11 @@ METRIC_HELP: Dict[str, str] = {
     "search_early_stops_total": "Searches ended by the coverage early stop",
     "miner_runs_total": "RAPMiner.run invocations",
     # -- case-stacked batch kernel -----------------------------------------
-    "stacked_bincount_passes_total": "Fused case-stacked np.bincount passes by lane kind",
     "stacked_layers_fused_total": "BFS layers aggregated once for a whole case batch",
-    "stacked_cases_active_total": "Active cases summed over fused BFS layers",
     "stacked_groups_total": "Shared-layout groups formed by run_batch",
     "stacked_batch_cases_total": "Cases localized through RAPMiner.run_batch",
-    "stacked_fallback_cases_total": "Cases routed to the per-case loop (method has no run_batch)",
     # -- streaming delta sessions ------------------------------------------
     "delta_ticks_total": "Delta-session ticks by path (patched vs cold) and fallback reason",
-    "delta_changed_rows_total": "Changed leaf rows consumed by the patch kernel",
-    "delta_patched_cuboids_total": "Cached cuboid aggregates patched in place",
-    "delta_patch_seconds_total": "Seconds spent diffing and patching aggregates",
-    "delta_changed_fraction": "Changed-leaf fraction of the latest tick",
-    "delta_crossover_threshold": "Effective patched-vs-cold crossover threshold",
     # -- localization service ----------------------------------------------
     "service_intervals_total": "Collection intervals observed by the service",
     "service_incidents_total": "Intervals that raised an incident report",

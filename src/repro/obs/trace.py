@@ -44,6 +44,7 @@ __all__ = [
     "NULL_SPAN_CONTEXT",
     "SpanRing",
     "Collector",
+    "RingCollector",
     "ACTIVE",
     "is_active",
     "active_collector",
@@ -230,6 +231,26 @@ class Collector:
         return [s for s in self.spans if s.parent_id == parent.span_id]
 
 
+class RingCollector(Collector):
+    """Collector of a long-running command: finished spans live only in
+    the bounded :attr:`recent` ring.
+
+    ``repro serve`` and ``repro stream-localize --serve-metrics`` run for
+    as long as the operator lets them, and their telemetry plane reads
+    only the ring, so a full span list would grow by every span of every
+    request for nothing.  :attr:`spans` stays empty;
+    :meth:`snapshot_spans`, and so
+    :func:`~repro.obs.profile.profile_collector`, returns the ring.
+    """
+
+    def _finish(self, finished: Span) -> None:
+        finished.duration_s = time.perf_counter() - finished.start
+        self.recent.append(finished)
+
+    def snapshot_spans(self) -> List[Span]:
+        return self.recent.snapshot()
+
+
 def is_active() -> bool:
     """True when a collector is installed (prefer ``ACTIVE`` in hot loops)."""
     return _collector is not None
@@ -286,13 +307,17 @@ def uninstall(previous: Optional[Collector] = None) -> None:
 
 
 @contextmanager
-def capture(trace_path: Optional[str] = None) -> Iterator[Collector]:
+def capture(
+    trace_path: Optional[str] = None, ring_only: bool = False
+) -> Iterator[Collector]:
     """Collect spans and metrics for the ``with`` body.
 
     Installs a fresh :class:`Collector` (restoring any previously
     installed one on exit, so captures nest) and yields it.  When
     *trace_path* is given the collected run is written there as JSONL on
     exit — including on exception, so crashed runs still leave a trail.
+    ``ring_only=True`` installs a :class:`RingCollector` instead, whose
+    memory stays bounded however long the body runs.
 
     Examples
     --------
@@ -303,7 +328,7 @@ def capture(trace_path: Optional[str] = None) -> Iterator[Collector]:
     >>> [s.name for s in collector.spans]
     ['demo']
     """
-    collector = Collector()
+    collector = RingCollector() if ring_only else Collector()
     previous = install(collector)
     try:
         yield collector

@@ -484,10 +484,9 @@ class LocalizationServer:
         try:
             return await asyncio.wait_for(future, timeout=self.config.request_timeout_s)
         except asyncio.TimeoutError:
-            # The slot stays held: the case is still running and the
-            # release happens in _on_result when it truly finishes.
-            with self._pending_lock:
-                self._pending.pop(seq, None)
+            # The slot and the _pending entry stay: the case is still
+            # running, and _on_result takes both when it truly finishes
+            # (wait_for cancelled the future, so it resolves nothing).
             return None
 
     # -- HTTP plane --------------------------------------------------------

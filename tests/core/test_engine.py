@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine as engine_module
 from repro.core.attribute import AttributeCombination
 from repro.core.cuboid import Cuboid, enumerate_cuboids
 from repro.core.engine import (
@@ -133,30 +134,16 @@ class TestPrepare:
             for cuboid, aggregate in zip(cuboids, engine.layer_aggregates(cuboids)):
                 _assert_aggregates_equal(aggregate, dataset.aggregate(cuboid))
 
-
-class TestParallelism:
-    def test_n_jobs_deterministic(self):
+    def test_chunked_layer_passes_match_one_pass(self, monkeypatch):
+        """A layer split into one-cuboid chunks aggregates like one pass."""
         dataset = _random_dataset((3, 3, 2, 2), 21)
         cuboids = [Cuboid(s) for s in itertools.combinations(range(4), 2)]
-        serial = list(AggregationEngine(dataset, n_jobs=1).layer_aggregates(cuboids))
-        parallel = list(AggregationEngine(dataset, n_jobs=4).layer_aggregates(cuboids))
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
+        one_pass = list(AggregationEngine(dataset).layer_aggregates(cuboids))
+        monkeypatch.setattr(engine_module, "_MAX_BATCH_ELEMENTS", dataset.n_rows)
+        chunked = list(AggregationEngine(dataset).layer_aggregates(cuboids))
+        assert len(chunked) == len(one_pass)
+        for a, b in zip(chunked, one_pass):
             _assert_aggregates_equal(a, b)
-
-    def test_search_identical_under_n_jobs(self, fig7_dataset):
-        indices = range(fig7_dataset.schema.n_attributes)
-        base = layerwise_topdown_search(
-            fig7_dataset, indices, engine=AggregationEngine(fig7_dataset, n_jobs=1)
-        )
-        threaded = layerwise_topdown_search(
-            fig7_dataset, indices, engine=AggregationEngine(fig7_dataset), n_jobs=4
-        )
-        assert base.candidates == threaded.candidates
-
-    def test_invalid_n_jobs_rejected(self, fig7_dataset):
-        with pytest.raises(ValueError):
-            AggregationEngine(fig7_dataset, n_jobs=0)
 
 
 class TestInvertedIndex:

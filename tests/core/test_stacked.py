@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     RAPMiner,
     RAPMinerConfig,
@@ -307,9 +308,13 @@ class TestRunBatch:
         b = make_datasets(2, sizes=(5, 3, 2, 2), seed=8)
         mixed = [a[0], b[0], a[1], b[1]]
         miner = RAPMiner()
-        batch = miner.run_batch(mixed)
+        with obs.capture() as collector:
+            batch = miner.run_batch(mixed)
         for dataset, result in zip(mixed, batch):
             self.assert_results_equal(result, miner.run(dataset))
+        assert collector.metrics.value("stacked_groups_total") == 2
+        assert collector.metrics.value("stacked_batch_cases_total") == 4
+        assert collector.metrics.value("stacked_layers_fused_total") >= 2
 
     def test_empty_batch(self):
         assert RAPMiner().run_batch([]) == []

@@ -123,7 +123,7 @@ class TestCrashProtocol:
         supervisor = FleetSupervisor(
             method,
             config=FleetConfig(
-                mode="inline", shards_per_layout=1, microbatch=3, k_from_truth=True
+                mode="inline", shards_per_layout=1, k_from_truth=True
             ),
         )
         evaluation, outcomes = run_collecting(supervisor, cases)
@@ -194,7 +194,7 @@ class TestStress:
         supervisor = FleetSupervisor(
             method,
             config=FleetConfig(
-                shards_per_layout=4, microbatch=2, tenant_quota=3, k_from_truth=True
+                shards_per_layout=4, tenant_quota=3, k_from_truth=True
             ),
         )
         holder = {}

@@ -1,9 +1,9 @@
-"""Micro-batches through the case-stacked kernel (the ``batch-localize`` path).
+"""The ``batch-localize`` configuration (:meth:`FleetConfig.one_batch`).
 
-``repro batch-localize`` submits a whole bundle to the fleet as one
-micro-batch per layout, which hands it to ``RAPMiner.run_batch``.  The
-rows must equal the serial ``run_cases`` loop: case ids, ranked
-predictions, groups and input order.
+``repro batch-localize`` admits a whole bundle to the fleet at once and
+runs it on one inline worker per layout, case by case on the worker's
+``DeltaSession``.  The rows must equal the serial ``run_cases`` loop:
+case ids, ranked predictions, groups and input order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.data.schema import cdn_schema, schema_from_sizes
 from repro.experiments.presets import fast_preset
 from repro.experiments.runner import run_cases
 from repro.fleet import FleetConfig, fleet_localize
-from repro.resilience.chaos import WorkerCrash
 
 
 def make_cases(n_cases=4):
@@ -64,14 +63,6 @@ class TestMicrobatch:
         )
         assert evaluation.results == []
 
-    def test_amortized_seconds_positive_and_uniform(self, cases):
-        evaluation = fleet_localize(
-            RAPMiner(), cases, config=FleetConfig.one_batch(len(cases), k=3)
-        )
-        seconds = {r.seconds for r in evaluation.results}
-        assert len(seconds) == 1  # one amortized clock for the fused batch
-        assert seconds.pop() > 0.0
-
     def test_randomized_schema_grid(self):
         rng = np.random.default_rng(4)
         for trial in range(2):
@@ -88,29 +79,16 @@ class TestMicrobatch:
             )
             assert rowset(got) == rowset(want), sizes
 
-    def test_method_without_run_batch_falls_back(self, cases, serial_eval):
-        class NoBatch:
-            name = "NoBatch"
-
-            def localize(self, dataset, k=None):
-                return RAPMiner().run(dataset, k).patterns
-
-        with obs.capture() as collector:
-            evaluation = fleet_localize(
-                NoBatch(), cases, config=FleetConfig.one_batch(len(cases), k=3)
-            )
-        assert rowset(evaluation) == rowset(serial_eval)
-        assert collector.metrics.value("stacked_fallback_cases_total") == len(cases)
-
-    def test_emits_stacked_counters(self, cases):
+    def test_search_counters_match_serial(self, cases):
         with obs.capture() as collector:
             fleet_localize(
                 RAPMiner(), cases, config=FleetConfig.one_batch(len(cases), k=3)
             )
-        assert collector.metrics.value("stacked_batch_cases_total") == len(cases)
-        assert collector.metrics.value("stacked_groups_total") >= 1
-        assert collector.metrics.value("stacked_layers_fused_total") >= 1
-        # Per-case search counters keep their serial totals.
+        # Every case runs on the worker's session, none on the stacked kernel.
+        assert collector.metrics.family_total("fleet_engine_builds_total") == len(
+            cases
+        )
+        assert collector.metrics.value("stacked_batch_cases_total") == 0.0
         with obs.capture() as serial_collector:
             run_cases(RAPMiner(), cases, k=3)
         for name in (
@@ -122,24 +100,6 @@ class TestMicrobatch:
             assert collector.metrics.value(name) == serial_collector.metrics.value(
                 name
             ), name
-
-    def test_fused_crash_charges_every_member_once(self, cases, serial_eval):
-        class CrashFirstBatch(RAPMiner):
-            crashes = 0
-
-            def run_batch(self, datasets, **kwargs):
-                if not CrashFirstBatch.crashes:
-                    CrashFirstBatch.crashes += 1
-                    raise WorkerCrash("fused batch crashed")
-                return super().run_batch(datasets, **kwargs)
-
-        with obs.capture() as collector:
-            evaluation = fleet_localize(
-                CrashFirstBatch(), cases, config=FleetConfig.one_batch(len(cases), k=3)
-            )
-        assert rowset(evaluation) == rowset(serial_eval)
-        assert collector.metrics.value("fleet_requeues_total") == len(cases)
-        assert collector.metrics.value("fleet_errors_total") == 0.0
 
     def test_fast_preset(self):
         preset_cases = fast_preset(seed=1).rapmd_cases()

@@ -149,11 +149,13 @@ class TestRecovery:
 
     def test_torn_tail_is_dropped_with_warning(self, tmp_path, cases):
         path = self._torn(tmp_path, cases, chop=17)
-        with pytest.warns(RuntimeWarning, match="torn"):
-            store = FleetStore(path)
+        with obs.capture() as collector:
+            with pytest.warns(RuntimeWarning, match="torn"):
+                store = FleetStore(path)
         decoded = store.cases()
         store.close()
         assert [seq for seq, __, __ in decoded] == [0]
+        assert collector.metrics.value("fleet_store_recovered_total") == 1
 
     def test_recovered_log_accepts_new_appends(self, tmp_path, cases):
         path = self._torn(tmp_path, cases, chop=5)

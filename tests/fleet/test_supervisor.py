@@ -87,12 +87,12 @@ class TestBitIdentity:
         )
         assert_matches_serial(evaluation, serial)
 
-    def test_microbatch_stacked_kernel_matches_serial(self, cases, serial):
+    def test_one_worker_per_layout_matches_serial(self, cases, serial):
         evaluation = fleet_localize(
             RAPMiner(),
             cases,
             tenants=TENANTS,
-            config=FleetConfig(mode="inline", k_from_truth=True, microbatch=3),
+            config=FleetConfig.one_batch(len(cases), k_from_truth=True),
         )
         assert_matches_serial(evaluation, serial)
 
@@ -143,8 +143,11 @@ class TestTenants:
         with obs.capture() as collector:
             for case in cases:
                 supervisor.submit(case, tenant="hot")
+            # Only the admitted cases queue on the layout FIFO.
+            assert collector.metrics.family_total("fleet_queue_depth") == 2
+            evaluation = supervisor.drain()
+            assert collector.metrics.family_total("fleet_queue_depth") == 0
         assert collector.metrics.value("fleet_quota_deferrals_total") == len(cases) - 2
-        evaluation = supervisor.drain()
         assert len(evaluation.results) == len(cases)
 
     def test_overflow_layout_first_seen_mid_drain_completes_in_thread_mode(self):

@@ -18,6 +18,7 @@ from repro.detection.detectors import DeviationThresholdDetector
 from repro.detection.forecasting import SeasonalNaiveForecaster
 from repro.obs.export import prometheus_text
 from repro.resilience import DegradationPolicy, RetryPolicy
+from repro.resilience.degrade import TIERS
 from repro.resilience.chaos import (
     ChaosConfig,
     FlakyDetector,
@@ -225,6 +226,9 @@ class TestAcceptance:
         assert 'tier="layer_capped"' in exposition
         assert "resilience_malformed_inputs_total" in exposition
         assert "resilience_fallback_total" in exposition
+        assert collector.metrics.value("resilience_degradation_tier") == TIERS.index(
+            "layer_capped"
+        )
 
     def test_clean_run_reports_stop_reason_and_no_degradation(self):
         # The bugfix satellite: stop_reason surfaces on clean reports too.

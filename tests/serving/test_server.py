@@ -213,11 +213,13 @@ class TestOverload:
 
 class TestDeadlines:
     def test_tight_deadline_returns_partial_not_error(self, cases):
-        with serve() as server:
-            client = ServingClient("127.0.0.1", server.http_port)
-            body = client.localize(cases[0], k=3, deadline_ms=0.001)
-            assert body["status"] == "ok"
-            assert body["stop_reason"] == "deadline"
+        with obs.capture() as collector:
+            with serve() as server:
+                client = ServingClient("127.0.0.1", server.http_port)
+                body = client.localize(cases[0], k=3, deadline_ms=0.001)
+                assert body["status"] == "ok"
+                assert body["stop_reason"] == "deadline"
+        assert collector.metrics.value("serving_deadline_stops_total") == 1
 
     def test_roomy_deadline_matches_serial(self, cases, serial):
         with serve() as server:
@@ -240,6 +242,36 @@ class TestDeadlines:
             while server.admission.depth and time.time() < deadline:
                 time.sleep(0.02)
             assert server.admission.depth == 0
+
+    def test_timed_out_requests_leave_no_parked_outcome(self, cases):
+        """A late result is taken by its ``_pending`` entry, not parked."""
+        tenant = {"tenant": "edge"}
+        with obs.capture() as collector:
+            # One worker: results land one at a time, so the gauges'
+            # last writes are ordered.
+            with serve(
+                method=SlowMiner(0.3),
+                fleet=FleetConfig(shards_per_layout=1),
+                request_timeout_s=0.05,
+            ) as server:
+                client = ServingClient("127.0.0.1", server.http_port)
+                for __ in range(3):
+                    body = client.localize(cases[0], k=1, tenant="edge")
+                    assert body["code"] == "timeout"
+                metrics = collector.metrics
+                # The abandoned slots are still held while the cases run.
+                assert metrics.value("serving_queue_depth") >= 1
+                assert metrics.value("serving_tenant_inflight", tenant) >= 1
+                deadline = time.time() + 10
+                while (
+                    server.admission.depth or server._pending
+                ) and time.time() < deadline:
+                    time.sleep(0.02)
+                assert server._early == {}
+                assert server._pending == {}
+                assert metrics.value("serving_queue_depth") == 0
+                assert metrics.value("serving_tenant_inflight", tenant) == 0
+                assert metrics.get("serving_request_seconds").count == 3
 
 
 def _edit_bytes(column, edit):

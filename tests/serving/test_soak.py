@@ -4,7 +4,10 @@ The first check of a bounded long-running ``repro serve``: after 2,000+
 raw-column request frames over one connection, the process holds the
 same open file descriptors and live threads as before the server
 started, and traced Python memory does not grow over the second half
-of the run.  Part of ``make serve-smoke``.
+of the run.  The soak runs twice: bare, and under the ring-only
+collector ``repro serve`` installs (``obs.capture(ring_only=True)``),
+whose spans and metrics must stay bounded too.  Part of
+``make serve-smoke``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.core.miner import RAPMiner
 from repro.data.rapmd import RAPMDConfig, generate_rapmd
 from repro.data.schema import cdn_schema
@@ -41,8 +45,7 @@ def open_fds() -> int:
     return len(os.listdir(FD_DIR))
 
 
-@pytest.mark.skipif(not os.path.isdir(FD_DIR), reason="needs /proc/self/fd")
-def test_binary_plane_soak_holds_fds_threads_and_memory():
+def soak() -> None:
     cases = generate_rapmd(
         cdn_schema(4, 2, 2, 3), RAPMDConfig(n_cases=4, n_days=2, seed=9)
     )
@@ -87,3 +90,14 @@ def test_binary_plane_soak_holds_fds_threads_and_memory():
     gc.collect()
     assert open_fds() == fds_before
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.skipif(not os.path.isdir(FD_DIR), reason="needs /proc/self/fd")
+def test_binary_plane_soak_holds_fds_threads_and_memory():
+    soak()
+
+
+@pytest.mark.skipif(not os.path.isdir(FD_DIR), reason="needs /proc/self/fd")
+def test_binary_plane_soak_under_the_serving_collector():
+    with obs.capture(ring_only=True):
+        soak()

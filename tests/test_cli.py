@@ -298,7 +298,7 @@ class TestBatchLocalize:
         code = main(["batch-localize", "--cases", str(bundle), "--k", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "one micro-batch per layout" in out
+        assert "one worker per layout" in out
         assert "cases/s" in out
 
     def test_matches_serial_localize_output(self, bundle, capsys):
