@@ -16,15 +16,16 @@ chaos:
 docs-check:
 	pytest tests/test_docs.py -p no:cacheprovider
 
-# Fleet gate (tier-1): executor (per-layout FIFOs, one case per worker
-# trip, crash protocol, serving lifecycle), supervisor and store suites,
-# the batch-localize configuration (one inline worker per layout,
-# tests/fleet/test_microbatch.py) vs serial, the bitwise
+# Fleet gate (tier-1): executor (per-layout FIFOs, per-case completion
+# callbacks, crash protocol, serving lifecycle), supervisor and store
+# suites, the batch-localize configuration (one inline worker per layout,
+# tests/fleet/test_batch_localize.py) vs serial, the bitwise
 # fleet-vs-serial property test, the bitwise carried-engine property
-# test (streaming miner and 1- and 2-worker fleets vs stateless), and a
-# 2-worker fast-preset smoke.
+# test (tests/property/test_carried_engine_properties.py: streaming
+# miner and 1- and 2-worker fleets vs stateless), and a 2-worker
+# fast-preset smoke.
 fleet-check:
-	pytest tests/fleet/ tests/property/test_fleet_properties.py tests/property/test_incremental_properties.py -p no:cacheprovider
+	pytest tests/fleet/ tests/property/test_fleet_properties.py tests/property/test_carried_engine_properties.py -p no:cacheprovider
 
 # Serving gate (tier-1): protocol/admission/server suites, the request
 # codec's case columns (data/io.py), a 2,000-request soak of the binary

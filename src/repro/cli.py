@@ -12,7 +12,7 @@ Subcommands
     ``docs/observability.md``).
 ``repro batch-localize``
     Run one localizer over a saved bundle on the fleet
-    (:mod:`repro.fleet`): every case admitted at once, one inline worker
+    (:mod:`repro.fleet`): every case queued at once, one inline worker
     per schema layout carrying its engine across cases on a
     :class:`~repro.core.delta.DeltaSession`.  Output is bit-identical to
     the serial ``localize`` path; the command reports throughput.
@@ -20,7 +20,7 @@ Subcommands
     Serve a saved bundle through the multi-tenant fleet
     (:mod:`repro.fleet`): one FIFO per schema layout served by workers
     that each carry their engine across cases on a
-    :class:`~repro.core.delta.DeltaSession`, per-tenant quotas, optional
+    :class:`~repro.core.delta.DeltaSession`, optional
     segment-log persistence (``--store``), store replay verification
     (``--replay``) and engine warm starts from a previous run's log
     (``--warm-start``).
@@ -245,9 +245,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     method = _apply_resilience(
         _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
     )
-    config = FleetConfig.one_batch(
-        len(cases), k=args.k, k_from_truth=args.k is None
-    )
+    config = FleetConfig.one_batch(k=args.k, k_from_truth=args.k is None)
     start = _time.perf_counter()
     evaluation = fleet_localize(method, cases, config=config)
     wall = _time.perf_counter() - start
@@ -280,7 +278,6 @@ def _cmd_fleet_localize(args: argparse.Namespace) -> int:
     )
     config = FleetConfig(
         shards_per_layout=args.shards,
-        tenant_quota=args.tenant_quota,
         k=args.k,
         k_from_truth=args.k is None,
     )
@@ -448,7 +445,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     method = _resolve_methods(args.method)[0]
     fleet_config = FleetConfig(
         shards_per_layout=args.shards,
-        tenant_quota=args.tenant_quota,
         k=args.k,
     )
     admission = AdmissionConfig(
@@ -664,7 +660,7 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
         "--degrade",
         action="store_true",
         help="enable the default graceful-degradation ladder "
-        "(vectorized -> serial -> layer_capped; see docs/resilience.md)",
+        "(delta -> full -> layer_capped; see docs/resilience.md)",
     )
 
 
@@ -714,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
     fleet.add_argument(
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
-    )
-    fleet.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=8,
-        help="max queued cases per tenant before overflow parking",
     )
     fleet.add_argument(
         "--store", help="append cases and results to this segment log"
@@ -791,12 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
     )
     serve.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=8,
-        help="fleet-level max queued cases per tenant (overflow parks)",
-    )
-    serve.add_argument(
         "--max-queue-depth",
         type=int,
         default=64,
@@ -814,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant-inflight",
         type=int,
         default=16,
-        help="max admitted in-flight requests per tenant (tenant_quota shed)",
+        help="max admitted in-flight requests per tenant; more shed with HTTP 429",
     )
     serve.add_argument(
         "--degraded-deadline-ms",

@@ -217,45 +217,24 @@ class RAPMiner:
         No serving or fleet path calls it; the offline batch benchmarks
         (perfbench ``batch``, ``make bench-stacked``) measure it.
 
-        ``budget`` and ``degradation`` behave as in :meth:`run`, with the
-        budget shared by the whole batch.  A policy that steps off the
-        ``vectorized`` rung (budget drained, or the stacked volume above
-        ``stacked_element_limit``) reruns the batch through the serial
-        per-case loop — still under the shared budget, re-deciding the
-        depth cap per case as the budget drains.
+        ``budget`` is shared by the whole batch.  With a degradation
+        policy (``degradation`` or ``config.degradation``) the batch runs
+        case by case through :meth:`run` under that policy and the shared
+        budget, so each case's depth cap is decided as the budget drains.
         """
         cfg = self.config
         if budget is None:
             budget = self._budget_from_config()
         policy = degradation if degradation is not None else cfg.degradation
         datasets = list(datasets)
-        results: List[Optional[LocalizationResult]] = [None] * len(datasets)
         if not datasets:
             return []
         if policy is not None:
-            batch_decision = policy.decide_batch(
-                len(datasets), max(d.n_rows for d in datasets), budget
-            )
-        else:
-            batch_decision = None
-        if batch_decision is not None and batch_decision.tier != "vectorized":
-            obs.inc(
-                "resilience_degrade_total",
-                tier=batch_decision.tier,
-                reason=batch_decision.reason or "none",
-            )
-            for index, dataset in enumerate(datasets):
-                if batch_decision.tier == "layer_capped":
-                    case_decision = batch_decision
-                else:
-                    case_decision = policy.decide_serial(
-                        dataset.n_rows, budget, base_tier="serial"
-                    )
-                results[index] = self.run(
-                    dataset, k, budget=budget, _decision=case_decision
-                )
-            return [result for result in results if result is not None]
-        batch_tier = batch_decision.tier if batch_decision is not None else None
+            return [
+                self.run(dataset, k, budget=budget, degradation=policy)
+                for dataset in datasets
+            ]
+        results: List[Optional[LocalizationResult]] = [None] * len(datasets)
         groups = group_datasets_by_layout(datasets)
         with obs.span(
             "miner.run_batch",
@@ -284,10 +263,7 @@ class RAPMiner:
                         results[case_index] = LocalizationResult(
                             candidates=[],
                             deletion=deletions[slot],
-                            stats=SearchStats(
-                                stop_reason="no_anomalous_leaves",
-                                degradation_tier=batch_tier,
-                            ),
+                            stats=SearchStats(stop_reason="no_anomalous_leaves"),
                         )
                         continue
                     if deletions[slot] is not None:
@@ -308,7 +284,6 @@ class RAPMiner:
                         budget=budget,
                     )
                     for slot, outcome in zip(slots, outcomes):
-                        outcome.stats.degradation_tier = batch_tier
                         results[group[slot]] = LocalizationResult(
                             candidates=self._rank(outcome.candidates, k),
                             deletion=deletions[slot],

@@ -16,17 +16,20 @@ by itself: whichever worker is free takes the next item.
 
 Determinism contract: each case's localization touches only that case's
 dataset and engine, patched and warm-cloned engines are bitwise-equal to
-cold builds (the delta session's invariant), and results are reassembled
-by submission sequence id — so fleet output is **bit-identical to a
-serial run** of the same cases, whatever the worker interleaving, worker
-count, quota pressure, or crash pattern.  The property suite drives randomized
-interleavings through the ``inline`` mode to check exactly this.
+cold builds (the delta session's invariant), and :meth:`~FleetSupervisor.drain`
+reassembles results by submission sequence id — so fleet output is
+**bit-identical to a serial run** of the same cases, whatever the worker
+interleaving, worker count, tenant mix, or crash pattern.  The property
+suite drives randomized interleavings through the ``inline`` mode to
+check exactly this.
 
-Admission control: each tenant may hold at most
-:attr:`FleetConfig.tenant_quota` cases in the FIFOs; excess submissions
-wait in a per-tenant overflow deque and are admitted (in submission
-order) as that tenant's earlier cases complete.  This bounds any single
-tenant's queue footprint without changing output order.
+Completion: every finished case becomes one :class:`CaseOutcome`.  A
+case submitted with an ``on_done`` callback hands its outcome to that
+callback (the serving front door resolves a response future there) and
+the fleet keeps nothing of it; a case submitted without one is kept for
+:meth:`~FleetSupervisor.drain`.  The fleet has no admission control of
+its own: per-tenant shares are the serving tier's
+:class:`~repro.serving.admission.AdmissionController`'s job.
 
 Crash handling composes with the resilience layer's contract: an
 exception escaping a worker's localizer (e.g. the chaos harness's
@@ -93,9 +96,6 @@ class FleetConfig:
 
     #: Workers serving each schema layout's FIFO.
     shards_per_layout: int = 2
-    #: Max queued (admitted, not yet completed) cases per tenant; excess
-    #: waits in the supervisor's overflow deque.
-    tenant_quota: int = 8
     #: ``"thread"`` runs one thread per worker; ``"inline"`` single-steps
     #: workers deterministically in the calling thread (property tests).
     mode: str = "thread"
@@ -118,22 +118,15 @@ class FleetConfig:
             raise ValueError(
                 f"shards_per_layout must be >= 1, got {self.shards_per_layout}"
             )
-        if self.tenant_quota < 1:
-            raise ValueError(f"tenant_quota must be >= 1, got {self.tenant_quota}")
 
     @classmethod
-    def one_batch(cls, n_cases: int, **overrides) -> "FleetConfig":
+    def one_batch(cls, **overrides) -> "FleetConfig":
         """The ``batch-localize`` configuration: one inline worker per layout.
 
-        Every case is admitted at once, and each layout's worker runs its
-        FIFO case by case on its :class:`~repro.core.delta.DeltaSession`.
+        Each layout's worker runs its FIFO case by case on its
+        :class:`~repro.core.delta.DeltaSession`.
         """
-        return cls(
-            shards_per_layout=1,
-            tenant_quota=max(1, n_cases),
-            mode="inline",
-            **overrides,
-        )
+        return cls(shards_per_layout=1, mode="inline", **overrides)
 
 
 @dataclass
@@ -143,7 +136,9 @@ class FleetItem:
     ``seq`` is the global submission order — the only ordering the
     fleet's output respects.  ``attempts`` counts executions started; a
     crashed item requeues once (``attempts == 1``) before degrading to
-    an error record.
+    an error record.  ``on_done`` receives the item's
+    :class:`CaseOutcome` when it finishes (``None``: :meth:`FleetSupervisor.drain`
+    collects it instead).
 
     ``deadline_ms`` / ``degrade`` are the per-request resilience
     contract of the serving front door (:mod:`repro.serving`): a
@@ -164,23 +159,32 @@ class FleetItem:
     degrade: bool = False
     #: Per-item top-k override (``None`` = the fleet config's policy).
     k: Optional[int] = None
+    #: Completion callback, called off the lock by the finishing worker.
+    on_done: Optional[Callable[["CaseOutcome"], None]] = None
+    #: Set (under the supervisor lock) once the outcome is recorded; a
+    #: crash after that leaves nothing to redo.
+    finished: bool = False
 
 
 @dataclass(frozen=True)
 class CaseOutcome:
-    """One finished case, as delivered to :attr:`FleetSupervisor.on_result`.
+    """One finished case: a result, an error row, or a deadline-stopped result.
 
-    The serving front door (:mod:`repro.serving`) keys per-request
-    response futures on ``seq``; everything else is what the network
-    response needs that a :class:`~repro.experiments.runner.CaseResult`
-    row does not carry (tenant, worker, stop reason, degradation tier).
+    The only record the fleet makes of a finished case.  It goes to the
+    item's ``on_done`` callback, or is kept until :meth:`FleetSupervisor.drain`
+    turns it into a :class:`~repro.experiments.runner.CaseResult` row.
+    The fields beyond that row (tenant, worker, stop reason, degradation
+    tier) are what a network response needs.
     """
 
     seq: int
     case_id: str
     tenant: str
     predicted: Tuple
+    true_raps: Tuple
     seconds: float
+    #: The case's ``metadata[config.group_key]``.
+    group: Optional[str] = None
     #: Id of the worker that ran the case (``None`` for error rows).
     shard: Optional[int] = None
     error: Optional[str] = None
@@ -242,11 +246,6 @@ class FleetSupervisor:
         self.method = method
         self.config = config if config is not None else FleetConfig()
         self.store = store
-        #: Per-finish hook: called with a :class:`CaseOutcome` (off the
-        #: supervisor lock, from whichever thread finished the case) as
-        #: each result lands.  The serving layer resolves its response
-        #: futures here; ``None`` costs nothing.
-        self.on_result: Optional[Callable[[CaseOutcome], None]] = None
         runner = getattr(method, "run", None)
         if callable(runner):
             try:
@@ -267,9 +266,8 @@ class FleetSupervisor:
         #: True during a thread drain or while serving: new layouts get
         #: worker threads as soon as their FIFO is created.
         self._spawning = False
-        self._rows: Dict[int, Tuple] = {}
-        self._overflow: Dict[str, deque] = {}
-        self._inflight: Dict[str, int] = {}
+        #: Outcomes of finished items without a callback, for drain().
+        self._collected: List[CaseOutcome] = []
         self._outstanding = 0
         self._next_seq = 0
         self._requeues = 0
@@ -284,6 +282,7 @@ class FleetSupervisor:
         deadline_ms: Optional[float] = None,
         degrade: bool = False,
         k: Optional[int] = None,
+        on_done: Optional[Callable[[CaseOutcome], None]] = None,
     ) -> int:
         """Enqueue one case; returns its sequence id (= output position).
 
@@ -293,7 +292,10 @@ class FleetSupervisor:
         error); ``degrade`` additionally applies the default degradation
         ladder while that budget drains.  ``k`` overrides the fleet
         config's top-k policy for this case only (serving requests carry
-        their own ``k``).
+        their own ``k``).  ``on_done`` is called with the case's
+        :class:`CaseOutcome`, off the lock, by the worker that finishes
+        it; the fleet then keeps no trace of the case.  Without it, the
+        outcome waits for :meth:`drain` — so while serving, pass one.
         """
         tenant = tenant_of(case) if tenant is None else str(tenant)
         with self._lock:
@@ -307,6 +309,7 @@ class FleetSupervisor:
             deadline_ms=deadline_ms,
             degrade=degrade,
             k=k,
+            on_done=on_done,
         )
         if self.store is not None:
             self.store.append_case(seq, tenant, case)
@@ -314,12 +317,6 @@ class FleetSupervisor:
             obs.inc("fleet_cases_total")
         with self._lock:
             self._outstanding += 1
-            if self._inflight.get(tenant, 0) >= self.config.tenant_quota:
-                self._overflow.setdefault(tenant, deque()).append(item)
-                if _trace.ACTIVE:
-                    obs.inc("fleet_quota_deferrals_total")
-                return seq
-            self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
             self._enqueue(item)
         return seq
 
@@ -421,7 +418,7 @@ class FleetSupervisor:
                 predicted, seconds = time_localization(
                     self.method.localize, item.case.dataset, self._item_k(item)
                 )
-                self._record(item, worker, list(predicted), seconds)
+                self._finish(item, predicted, seconds, worker.worker_id)
             worker.session.record_tick_seconds(tick, seconds)
 
     def _execute_budgeted(self, item: FleetItem, worker: _Worker) -> float:
@@ -432,7 +429,7 @@ class FleetSupervisor:
         budget bounds (admission already shed anything that queued past
         its welcome).  Expiry ends the search at a layer boundary with
         the candidates found so far; the stop reason and ladder rung ride
-        back on the result row for the serving response.  Returns the
+        back on the outcome for the serving response.  Returns the
         localization time.
         """
         kwargs = {"budget": Budget.from_ms(item.deadline_ms)}
@@ -444,11 +441,11 @@ class FleetSupervisor:
         )
         seconds = time.perf_counter() - start
         stats = getattr(result, "stats", None)
-        self._record(
+        self._finish(
             item,
-            worker,
-            list(result.patterns),
+            result.patterns,
             seconds,
+            worker.worker_id,
             stop_reason=getattr(stats, "stop_reason", None),
             tier=getattr(stats, "degradation_tier", None),
         )
@@ -465,17 +462,16 @@ class FleetSupervisor:
         except BaseException as exc:
             # BaseException too: a SystemExit or CancelledError escaping a
             # localizer must still requeue or record its case, or drain()
-            # would wait forever on a row that never comes.
+            # would wait forever on an outcome that never comes.
             # The engine may be half-built; the next case starts cold.
             worker.session.reset()
             if _trace.ACTIVE:
                 obs.inc("fleet_crashes_total")
             with self._lock:
                 self._crashes += 1
-                # A crash after the row was recorded leaves nothing to redo.
-                finished = item.seq in self._rows
-                failed = not finished and item.attempts >= 2
-                if not finished and not failed:
+                # A crash after the outcome was recorded leaves nothing to redo.
+                failed = not item.finished and item.attempts >= 2
+                if not item.finished and not failed:
                     self._requeues += 1
                     if _trace.ACTIVE:
                         obs.inc("fleet_requeues_total")
@@ -485,98 +481,63 @@ class FleetSupervisor:
 
     # -- results -----------------------------------------------------------
 
-    def _result_row(
-        self,
-        item: FleetItem,
-        worker_id: Optional[int],
-        predicted: List,
-        seconds: float,
-        error: Optional[str],
-        stop_reason: Optional[str] = None,
-        tier: Optional[str] = None,
-    ) -> Tuple:
-        case = item.case
-        return (
-            item.seq,
-            case.case_id,
-            predicted,
-            tuple(case.true_raps),
-            seconds,
-            case.metadata.get(self.config.group_key),
-            item.tenant,
-            worker_id,
-            error,
-            stop_reason,
-            tier,
-        )
-
-    def _record(
-        self,
-        item: FleetItem,
-        worker: _Worker,
-        predicted: List,
-        seconds: float,
-        stop_reason: Optional[str] = None,
-        tier: Optional[str] = None,
-    ) -> None:
-        self._finish(
-            self._result_row(
-                item, worker.worker_id, predicted, seconds, None, stop_reason, tier
-            )
-        )
-
     def _record_error(self, item: FleetItem, exc: BaseException) -> None:
         if _trace.ACTIVE:
             obs.inc("fleet_errors_total")
-        self._finish(
-            self._result_row(item, None, [], 0.0, f"{type(exc).__name__}: {exc}")
-        )
+        self._finish(item, [], 0.0, None, f"{type(exc).__name__}: {exc}")
 
-    def _finish(self, row: Tuple) -> None:
-        """Record a finished row, admit overflow, close when drained."""
-        seq, tenant = row[0], row[6]
+    def _finish(
+        self,
+        item: FleetItem,
+        predicted: Sequence,
+        seconds: float,
+        shard: Optional[int],
+        error: Optional[str] = None,
+        stop_reason: Optional[str] = None,
+        tier: Optional[str] = None,
+    ) -> None:
+        """Make the item's outcome, persist it, then hand it to the item's
+        callback or keep it for :meth:`drain`; close when drained."""
+        case = item.case
+        outcome = CaseOutcome(
+            seq=item.seq,
+            case_id=case.case_id,
+            tenant=item.tenant,
+            predicted=tuple(predicted),
+            true_raps=tuple(case.true_raps),
+            seconds=seconds,
+            group=case.metadata.get(self.config.group_key),
+            shard=shard,
+            error=error,
+            stop_reason=stop_reason,
+            tier=tier,
+        )
         if self.store is not None:
             self.store.append_result(
-                seq,
-                tenant,
+                outcome.seq,
+                outcome.tenant,
                 {
-                    "case_id": row[1],
-                    "predicted": [str(p) for p in row[2]],
-                    "true_raps": [str(r) for r in row[3]],
-                    "seconds": row[4],
-                    "group": row[5],
-                    "shard": row[7],
-                    "error": row[8],
+                    "case_id": outcome.case_id,
+                    "predicted": [str(p) for p in outcome.predicted],
+                    "true_raps": [str(r) for r in outcome.true_raps],
+                    "seconds": outcome.seconds,
+                    "group": outcome.group,
+                    "shard": outcome.shard,
+                    "error": outcome.error,
                 },
             )
         with self._lock:
-            self._rows[seq] = row
+            item.finished = True
+            if item.on_done is None:
+                self._collected.append(outcome)
             self._outstanding -= 1
-            waiting = self._overflow.get(tenant)
-            if waiting:
-                self._enqueue(waiting.popleft())
-            else:
-                self._inflight[tenant] = max(0, self._inflight.get(tenant, 1) - 1)
             # Serving-mode workers must survive idle periods: closing on
             # a momentarily empty fleet would retire them between requests.
             drained = self._outstanding == 0 and not self._serving
         if drained:
             self._close()
-        callback = self.on_result
-        if callback is not None:
-            callback(
-                CaseOutcome(
-                    seq=row[0],
-                    case_id=row[1],
-                    tenant=row[6],
-                    predicted=tuple(row[2]),
-                    seconds=row[4],
-                    shard=row[7],
-                    error=row[8],
-                    stop_reason=row[9],
-                    tier=row[10],
-                )
-            )
+        if item.on_done is not None:
+            item.on_done(outcome)
 
     # -- drive loops -------------------------------------------------------
 
@@ -588,25 +549,12 @@ class FleetSupervisor:
                 if item is None:
                     return
                 self._run_guarded(worker, item)
-                self._forget_served(item)
         finally:
             # Normal retirement already cleared the slot inside _acquire;
             # this only covers an exception escaping the loop.
             with self._lock:
                 if worker.thread is threading.current_thread():
                     worker.thread = None
-
-    def _forget_served(self, item: FleetItem) -> None:
-        """Drop a finished item's row while serving.
-
-        :attr:`on_result` has delivered it and no :meth:`drain` reads it,
-        so keeping it would grow a long-running server by one row per
-        request.  A requeued item has no row yet; its row goes when the
-        trip that finishes it does.
-        """
-        with self._lock:
-            if self._serving:
-                self._rows.pop(item.seq, None)
 
     def _live_threads(self) -> List[threading.Thread]:
         with self._lock:
@@ -658,8 +606,9 @@ class FleetSupervisor:
     def drain(self) -> MethodEvaluation:
         """Run every submitted case to completion and return the results.
 
-        Output rows are ordered by submission sequence id — the serial
-        order — regardless of which worker ran what.
+        The rows are the outcomes of every case submitted without an
+        ``on_done`` callback, ordered by submission sequence id — the
+        serial order — regardless of which worker ran what.
         """
         with obs.span("fleet.drain", cases=self._next_seq, mode=self.config.mode):
             with self._lock:
@@ -674,16 +623,17 @@ class FleetSupervisor:
             method_name=getattr(self.method, "name", type(self.method).__name__)
         )
         with self._lock:
-            rows = [self._rows[seq] for seq in sorted(self._rows)]
-        for row in rows:
+            self._collected.sort(key=lambda outcome: outcome.seq)
+            outcomes = list(self._collected)
+        for outcome in outcomes:
             evaluation.results.append(
                 CaseResult(
-                    case_id=row[1],
-                    predicted=row[2],
-                    true_raps=row[3],
-                    seconds=row[4],
-                    group=row[5],
-                    error=row[8],
+                    case_id=outcome.case_id,
+                    predicted=list(outcome.predicted),
+                    true_raps=outcome.true_raps,
+                    seconds=outcome.seconds,
+                    group=outcome.group,
+                    error=outcome.error,
                 )
             )
         return evaluation
@@ -700,8 +650,8 @@ class FleetSupervisor:
 
         In serving mode :meth:`submit` queues immediately onto long-lived
         worker threads (started lazily as layouts appear) and each result
-        is delivered through :attr:`on_result` — there is no drain
-        barrier and the FIFOs never close on an empty fleet.  A worker
+        is delivered through its item's ``on_done`` callback — there is
+        no drain barrier and the FIFOs never close on an empty fleet.  A worker
         still finishing a case from before the last :meth:`stop_serving`
         keeps its slot and serves on; no second thread joins it.
         :meth:`drain` must not be used while serving; the two drive modes

@@ -79,7 +79,6 @@ METRIC_HELP: Dict[str, str] = {
     # -- serving fleet -----------------------------------------------------
     "fleet_cases_total": "Cases submitted to the fleet supervisor",
     "fleet_queue_depth": "Queued cases per layout FIFO (gauge, labelled by layout)",
-    "fleet_quota_deferrals_total": "Submissions parked in the overflow deque by the tenant quota",
     "fleet_engine_builds_total": "Worker engine builds by outcome (patched, warm, cold, warmstart)",
     "fleet_warm_starts_total": "Tenants primed from the store after a restart",
     "fleet_crashes_total": "Worker runs ended by an escaping exception",

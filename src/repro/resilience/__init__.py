@@ -8,7 +8,7 @@ detectors misbehave, or a case blows its latency budget:
   partial-but-valid result (``stop_reason="deadline"``) instead of
   hanging the loop;
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
-  (delta -> full -> vectorized -> serial -> layer_capped) with the
+  (delta -> full -> layer_capped) with the
   chosen tier recorded on every result;
 * :mod:`~repro.resilience.breaker` — retry/backoff and three-state
   circuit breakers around pluggable pipeline stages;

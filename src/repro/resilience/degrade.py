@@ -6,7 +6,7 @@ fail — it is to spend what is left on the *coarsest* layers, where RAPs
 live by definition (the paper's Definition 1 prefers ancestors).  The
 ladder steps down along
 
-    ``delta -> full -> vectorized -> serial -> layer_capped``
+    ``delta -> full -> layer_capped``
 
 * **delta** — the streaming patch path
   (:class:`repro.core.delta.DeltaSession`): cross-tick aggregate
@@ -14,13 +14,12 @@ ladder steps down along
   a draining budget steps it down to a cold-full tick so expiry never
   lands on patch bookkeeping;
 * **full** — one stateless serial search, cold aggregation;
-* **vectorized** — the case-stacked batch kernel
-  (:meth:`repro.core.miner.RAPMiner.run_batch`), cheapest per case but
-  front-loads a whole layout group's aggregation;
-* **serial** — the classic per-case loop, which lets a draining budget
-  stop between cases instead of mid-group;
-* **layer_capped** — the per-case loop with a hard BFS depth cap, the
+* **layer_capped** — the same search with a hard BFS depth cap, the
   last resort that bounds a single search's work outright.
+
+:meth:`repro.core.miner.RAPMiner.run_batch` under a policy runs its
+cases one by one through these rungs, so a draining budget stops
+between cases.
 
 Every decision is recorded on ``SearchStats.degradation_tier`` (and the
 ``resilience_degrade_total{tier=...}`` counter), so a report always says
@@ -39,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DegradationDecision", "DegradationPolicy", "TIERS"]
 
 #: The ladder, fastest-degrading last.
-TIERS = ("delta", "full", "vectorized", "serial", "layer_capped")
+TIERS = ("delta", "full", "layer_capped")
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ class DegradationPolicy:
     Parameters
     ----------
     budget_fraction:
-        Step one rung down (vectorized -> serial) once the budget's
-        remaining fraction falls below this.
+        Step one rung down (delta -> full) once the budget's remaining
+        fraction falls below this.
     critical_fraction:
         Step to ``layer_capped`` once the remaining fraction falls below
         this (must not exceed *budget_fraction*).
@@ -77,10 +76,6 @@ class DegradationPolicy:
         A single case with more leaves than this is layer-capped
         outright — at that scale deep layers cannot finish inside an
         interval regardless of budget.
-    stacked_element_limit:
-        Cap on ``n_cases * n_leaves`` for the vectorized kernel; batches
-        above it fall back to the serial loop so one giant layout group
-        cannot blow the interval on a single fused pass.
     capped_layer:
         The BFS depth the ``layer_capped`` rung enforces.
     """
@@ -88,7 +83,6 @@ class DegradationPolicy:
     budget_fraction: float = 0.5
     critical_fraction: float = 0.2
     leaf_limit: int = 1_000_000
-    stacked_element_limit: int = 50_000_000
     capped_layer: int = 2
 
     def __post_init__(self) -> None:
@@ -100,22 +94,15 @@ class DegradationPolicy:
             )
         if self.leaf_limit < 1:
             raise ValueError("leaf_limit must be positive")
-        if self.stacked_element_limit < 1:
-            raise ValueError("stacked_element_limit must be positive")
         if self.capped_layer < 1:
             raise ValueError("capped_layer must be at least 1")
 
     # -- decisions ---------------------------------------------------------
 
     def decide_serial(
-        self, n_leaves: int, budget: Optional["Budget"], base_tier: str = "full"
+        self, n_leaves: int, budget: Optional["Budget"]
     ) -> DegradationDecision:
-        """Rung for one serial search: *base_tier* or ``layer_capped``.
-
-        ``base_tier`` is what the caller was going to run anyway
-        (``"full"`` from :meth:`RAPMiner.run`, ``"serial"`` from a batch
-        that already stepped off the vectorized rung).
-        """
+        """Rung for one serial search: ``full`` or ``layer_capped``."""
         if n_leaves > self.leaf_limit:
             return DegradationDecision(
                 "layer_capped", max_layer=self.capped_layer, reason="leaf_count"
@@ -124,7 +111,7 @@ class DegradationPolicy:
             return DegradationDecision(
                 "layer_capped", max_layer=self.capped_layer, reason="budget"
             )
-        return DegradationDecision(base_tier)
+        return DegradationDecision("full")
 
     def decide_delta(
         self, n_leaves: int, budget: Optional["Budget"]
@@ -151,29 +138,3 @@ class DegradationPolicy:
             if fraction < self.budget_fraction:
                 return DegradationDecision("full", reason="budget")
         return DegradationDecision("delta")
-
-    def decide_batch(
-        self, n_cases: int, n_leaves: int, budget: Optional["Budget"]
-    ) -> DegradationDecision:
-        """Rung for a case batch: ``vectorized``, ``serial`` or capped.
-
-        The serial and capped rungs only choose the *execution shape*;
-        per-case depth caps are re-decided by :meth:`decide_serial` as
-        the batch drains the budget, so early cases of a degraded batch
-        may still search full depth while late ones get capped.
-        """
-        if n_leaves > self.leaf_limit:
-            return DegradationDecision(
-                "layer_capped", max_layer=self.capped_layer, reason="leaf_count"
-            )
-        if budget is not None:
-            fraction = budget.fraction_remaining()
-            if fraction < self.critical_fraction:
-                return DegradationDecision(
-                    "layer_capped", max_layer=self.capped_layer, reason="budget"
-                )
-            if fraction < self.budget_fraction:
-                return DegradationDecision("serial", reason="budget")
-        if n_cases * n_leaves > self.stacked_element_limit:
-            return DegradationDecision("serial", reason="leaf_count")
-        return DegradationDecision("vectorized")

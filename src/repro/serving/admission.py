@@ -1,9 +1,9 @@
 """Admission control: bounded depth, per-tenant shares, shed-not-queue.
 
-The fleet's tenant quota bounds *queue memory*; the serving tier must
-also bound *latency* — an unbounded accept queue turns overload into
-timeouts for everyone.  :class:`AdmissionController` decides, at the
-moment a request arrives, one of three fates:
+This is the only per-tenant bound between a client and the fleet, and
+it bounds both *queue memory* and *latency*: an unbounded accept queue
+turns overload into timeouts for everyone.  :class:`AdmissionController`
+decides, at the moment a request arrives, one of three fates:
 
 * **admit full** — depth below the soft cap: the request runs with
   whatever deadline it asked for (or none).

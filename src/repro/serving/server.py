@@ -24,8 +24,10 @@ together:
   the same case.  Degradation only ever enters through an explicit
   ``deadline_ms`` (the client's or the degraded tier's).
 
-The event loop runs in a dedicated daemon thread; fleet workers resolve
-per-request futures through ``loop.call_soon_threadsafe``.  Telemetry
+The event loop runs in a dedicated daemon thread; each request submits
+its case with its own completion callback, through which the fleet
+worker that finishes it resolves the request's future
+(``loop.call_soon_threadsafe``).  Telemetry
 routes (``/metrics``, ``/healthz``, ``/readyz``, ``/debug/*``) are
 mounted on the HTTP listener by delegating to
 :meth:`~repro.obs.server.TelemetryServer.dispatch`, so one port serves
@@ -36,12 +38,13 @@ the :class:`~repro.obs.slo.SLOTracker`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .. import obs
@@ -113,7 +116,7 @@ class LocalizationServer:
     supervisor:
         The fleet to serve on.  The server owns its serving lifecycle
         (:meth:`~repro.fleet.supervisor.FleetSupervisor.start_serving` /
-        ``stop_serving``) and its ``on_result`` hook for the duration.
+        ``stop_serving``) for the duration.
     config:
         Network and admission knobs; defaults bind ephemeral localhost
         ports for both planes.
@@ -154,11 +157,7 @@ class LocalizationServer:
         #: Open accepted connections (writer -> handler task), touched on
         #: the loop thread only; stop() closes what is left.
         self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
-        #: seq -> (future, tenant); guarded by ``_pending_lock`` together
-        #: with ``_early`` (results that landed before registration).
-        self._pending: Dict[int, Tuple[asyncio.Future, str]] = {}
-        self._early: Dict[int, CaseOutcome] = {}
-        self._pending_lock = threading.Lock()
+        self._served_lock = threading.Lock()
         self._started = False
         self._requests_served = 0
 
@@ -182,7 +181,6 @@ class LocalizationServer:
                 self._http_sock.close()
                 self._http_sock = None
                 raise
-        self.supervisor.on_result = self._on_result
         self.supervisor.start_serving()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -248,7 +246,6 @@ class LocalizationServer:
             timeout=timeout
         )
         self.supervisor.stop_serving(timeout=timeout)
-        self.supervisor.on_result = None
         asyncio.run_coroutine_threadsafe(self._quiesce(), self._loop).result(
             timeout=timeout
         )
@@ -324,7 +321,7 @@ class LocalizationServer:
     @property
     def requests_served(self) -> int:
         """Localize requests answered (any status) since :meth:`start`."""
-        with self._pending_lock:
+        with self._served_lock:
             return self._requests_served
 
     def _readiness(self) -> Dict[str, object]:
@@ -336,14 +333,13 @@ class LocalizationServer:
 
     # -- result plumbing ---------------------------------------------------
 
-    def _on_result(self, outcome: CaseOutcome) -> None:
-        """Fleet worker callback: release the slot, resolve the future.
+    def _on_done(self, future: asyncio.Future, outcome: CaseOutcome) -> None:
+        """Fleet completion callback of one request: release, then resolve.
 
-        Runs on whichever worker thread finished the case.  A result may
-        land before the submitting handler registered its future (submit
-        returns after dispatch); it parks in ``_early`` and the handler
-        picks it up.  The admission slot releases *here* — when the work
-        actually finished — never at response time.
+        Runs on whichever worker thread finished the case.  The admission
+        slot releases *here* — when the work actually finished — never at
+        response time, so a request the handler already gave up on
+        (``request_timeout_s``) still frees its slot.
         """
         self.admission.release(outcome.tenant)
         if obs.trace.ACTIVE:
@@ -355,18 +351,16 @@ class LocalizationServer:
             )
             if outcome.stop_reason == "deadline":
                 obs.inc("serving_deadline_stops_total")
-        with self._pending_lock:
-            entry = self._pending.pop(outcome.seq, None)
-            if entry is None:
-                self._early[outcome.seq] = outcome
-                return
-        future, __ = entry
-        loop = self._loop
-        if loop is not None:
-            loop.call_soon_threadsafe(self._resolve_future, future, outcome)
+        try:
+            future.get_loop().call_soon_threadsafe(
+                self._resolve_future, future, outcome
+            )
+        except RuntimeError:
+            pass  # the loop closed after a stop() that timed out: nobody waits
 
     @staticmethod
     def _resolve_future(future: asyncio.Future, outcome: CaseOutcome) -> None:
+        # A handler that timed out cancelled its future; skip it.
         if not future.done():
             future.set_result(outcome)
 
@@ -390,7 +384,7 @@ class LocalizationServer:
         elapsed = time.perf_counter() - started
         obs.inc("serving_requests_total", protocol=protocol, status=body["status"])
         obs.observe("serving_request_seconds", elapsed)
-        with self._pending_lock:
+        with self._served_lock:
             self._requests_served += 1
         return body
 
@@ -465,28 +459,21 @@ class LocalizationServer:
         degrade: bool,
     ) -> Optional[CaseOutcome]:
         """Submit one admitted case; await its outcome (None = timeout)."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        seq = self.supervisor.submit(
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.supervisor.submit(
             request.case,
             tenant=request.tenant,
             deadline_ms=deadline_ms,
             degrade=degrade,
             k=request.k,
+            on_done=functools.partial(self._on_done, future),
         )
-        early: Optional[CaseOutcome] = None
-        with self._pending_lock:
-            early = self._early.pop(seq, None)
-            if early is None:
-                self._pending[seq] = (future, request.tenant)
-        if early is not None:
-            return early
         try:
             return await asyncio.wait_for(future, timeout=self.config.request_timeout_s)
         except asyncio.TimeoutError:
-            # The slot and the _pending entry stay: the case is still
-            # running, and _on_result takes both when it truly finishes
-            # (wait_for cancelled the future, so it resolves nothing).
+            # The slot stays held: the case is still running, and
+            # _on_done releases it when the fleet finishes (wait_for
+            # cancelled the future, so that call resolves nothing).
             return None
 
     # -- HTTP plane --------------------------------------------------------

@@ -41,10 +41,10 @@ def serial_eval(cases):
     return run_cases(RAPMiner(), cases, k=3)
 
 
-class TestMicrobatch:
+class TestBatchLocalize:
     def test_matches_serial(self, cases, serial_eval):
         evaluation = fleet_localize(
-            RAPMiner(), cases, config=FleetConfig.one_batch(len(cases), k=3)
+            RAPMiner(), cases, config=FleetConfig.one_batch(k=3)
         )
         assert rowset(evaluation) == rowset(serial_eval)
 
@@ -53,13 +53,13 @@ class TestMicrobatch:
         got = fleet_localize(
             RAPMiner(),
             cases,
-            config=FleetConfig.one_batch(len(cases), k_from_truth=True),
+            config=FleetConfig.one_batch(k_from_truth=True),
         )
         assert rowset(got) == rowset(want)
 
     def test_empty_case_list(self):
         evaluation = fleet_localize(
-            RAPMiner(), [], config=FleetConfig.one_batch(0, k=3)
+            RAPMiner(), [], config=FleetConfig.one_batch(k=3)
         )
         assert evaluation.results == []
 
@@ -75,14 +75,14 @@ class TestMicrobatch:
             got = fleet_localize(
                 RAPMiner(),
                 grid_cases,
-                config=FleetConfig.one_batch(len(grid_cases), k_from_truth=True),
+                config=FleetConfig.one_batch(k_from_truth=True),
             )
             assert rowset(got) == rowset(want), sizes
 
     def test_search_counters_match_serial(self, cases):
         with obs.capture() as collector:
             fleet_localize(
-                RAPMiner(), cases, config=FleetConfig.one_batch(len(cases), k=3)
+                RAPMiner(), cases, config=FleetConfig.one_batch(k=3)
             )
         # Every case runs on the worker's session, none on the stacked kernel.
         assert collector.metrics.family_total("fleet_engine_builds_total") == len(
@@ -107,6 +107,6 @@ class TestMicrobatch:
         got = fleet_localize(
             RAPMiner(),
             preset_cases,
-            config=FleetConfig.one_batch(len(preset_cases), k=5),
+            config=FleetConfig.one_batch(k=5),
         )
         assert rowset(got) == rowset(want)

@@ -55,12 +55,27 @@ def tagged(cases):
 
 
 def run_collecting(supervisor, cases, tenant="solo"):
-    """Submit *cases*, drain, and return (evaluation, outcomes by seq)."""
+    """Submit *cases* with a completion callback each, drain, and return
+    the outcomes by seq.  The drain itself keeps none of them."""
     outcomes = {}
-    supervisor.on_result = lambda outcome: outcomes.__setitem__(outcome.seq, outcome)
+
+    def on_done(outcome):
+        outcomes[outcome.seq] = outcome
+
     for case in cases:
-        supervisor.submit(case, tenant=tenant)
-    return supervisor.drain(), outcomes
+        supervisor.submit(case, tenant=tenant, on_done=on_done)
+    assert supervisor.drain().results == []
+    return outcomes
+
+
+def predictions(outcomes):
+    """The outcomes' predictions in submission order, as result rows hold them."""
+    return [list(outcomes[seq].predicted) for seq in sorted(outcomes)]
+
+
+def errors(outcomes):
+    """case id -> error of every outcome that is an error row."""
+    return {o.case_id: o.error for o in outcomes.values() if o.error}
 
 
 class TestSharedFifo:
@@ -69,12 +84,10 @@ class TestSharedFifo:
             RAPMiner(),
             config=FleetConfig(mode="inline", shards_per_layout=2, k_from_truth=True),
         )
-        evaluation, outcomes = run_collecting(supervisor, cases)
+        outcomes = run_collecting(supervisor, cases)
         assert {o.shard for o in outcomes.values()} == {0, 1}
         serial = run_cases(RAPMiner(), cases, k_from_truth=True)
-        assert [r.predicted for r in evaluation.results] == [
-            r.predicted for r in serial.results
-        ]
+        assert predictions(outcomes) == [r.predicted for r in serial.results]
 
     def test_layouts_never_share_workers(self):
         mixed = list(make_cases(4)) + list(make_cases(4, sizes=(3, 2, 2, 2), seed=11))
@@ -89,7 +102,7 @@ class TestSharedFifo:
                     schedule=random.Random(seed),
                 ),
             )
-            __, outcomes = run_collecting(supervisor, order)
+            outcomes = run_collecting(supervisor, order)
             assert_layouts_apart(order, outcomes)
 
     def test_thread_mode_keeps_layouts_apart(self):
@@ -97,12 +110,10 @@ class TestSharedFifo:
         supervisor = FleetSupervisor(
             RAPMiner(), config=FleetConfig(shards_per_layout=2, k_from_truth=True)
         )
-        evaluation, outcomes = run_collecting(supervisor, mixed)
+        outcomes = run_collecting(supervisor, mixed)
         assert_layouts_apart(mixed, outcomes)
         serial = run_cases(RAPMiner(), mixed, k_from_truth=True)
-        assert [r.predicted for r in evaluation.results] == [
-            r.predicted for r in serial.results
-        ]
+        assert predictions(outcomes) == [r.predicted for r in serial.results]
 
 
 def assert_layouts_apart(submitted, outcomes):
@@ -126,7 +137,7 @@ class TestCrashProtocol:
                 mode="inline", shards_per_layout=1, k_from_truth=True
             ),
         )
-        evaluation, outcomes = run_collecting(supervisor, cases)
+        outcomes = run_collecting(supervisor, cases)
         assert supervisor.crashes == 1
         assert supervisor.requeues == 1
         # The victim ran twice; every other case exactly once.
@@ -137,10 +148,8 @@ class TestCrashProtocol:
         # The crashed worker was not retired: it served the whole queue.
         assert {o.shard for o in outcomes.values()} == {0}
         serial = run_cases(RAPMiner(), cases, k_from_truth=True)
-        assert all(r.error is None for r in evaluation.results)
-        assert [r.predicted for r in evaluation.results] == [
-            r.predicted for r in serial.results
-        ]
+        assert errors(outcomes) == {}
+        assert predictions(outcomes) == [r.predicted for r in serial.results]
 
     def test_second_failure_is_an_error_row_and_the_rest_still_run(self):
         cases = tagged(make_cases())
@@ -150,11 +159,10 @@ class TestCrashProtocol:
             method,
             config=FleetConfig(mode="inline", shards_per_layout=1, k_from_truth=True),
         )
-        evaluation, __ = run_collecting(supervisor, cases)
+        outcomes = run_collecting(supervisor, cases)
         assert method.calls.count(poison) == 2
-        errors = {r.case_id: r.error for r in evaluation.results if r.error}
-        assert list(errors) == [poison]
-        assert "WorkerCrash" in errors[poison]
+        assert list(errors(outcomes)) == [poison]
+        assert "WorkerCrash" in errors(outcomes)[poison]
         assert supervisor.requeues == 1
         assert supervisor.crashes == 2
 
@@ -177,11 +185,10 @@ class TestCrashProtocol:
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive(), "drain() did not finish"
-        evaluation, outcomes = holder["result"]
+        outcomes = holder["result"]
         assert sorted(outcomes) == list(range(len(cases)))
-        errors = {r.case_id: r.error for r in evaluation.results if r.error}
-        assert list(errors) == [poison]
-        assert errors[poison].startswith("Abort")
+        assert list(errors(outcomes)) == [poison]
+        assert errors(outcomes)[poison].startswith("Abort")
         assert supervisor.crashes == 2
 
 
@@ -193,9 +200,7 @@ class TestStress:
         method = CountingChaos({3: 1, 14: 1})
         supervisor = FleetSupervisor(
             method,
-            config=FleetConfig(
-                shards_per_layout=4, tenant_quota=3, k_from_truth=True
-            ),
+            config=FleetConfig(shards_per_layout=4, k_from_truth=True),
         )
         holder = {}
         runner = threading.Thread(
@@ -210,15 +215,13 @@ class TestStress:
         finally:
             sys.setswitchinterval(previous)
         assert not runner.is_alive(), "drain() did not finish"
-        evaluation, outcomes = holder["result"]
+        outcomes = holder["result"]
         assert sorted(outcomes) == list(range(len(mixed)))
         assert supervisor.crashes == 2
         assert supervisor.requeues == 2
         serial = run_cases(RAPMiner(), mixed, k_from_truth=True)
-        assert all(r.error is None for r in evaluation.results)
-        assert [r.predicted for r in evaluation.results] == [
-            r.predicted for r in serial.results
-        ]
+        assert errors(outcomes) == {}
+        assert predictions(outcomes) == [r.predicted for r in serial.results]
 
 
 class BlockingLocalizer:
@@ -251,10 +254,9 @@ class TestServingLifecycle:
         method = BlockingLocalizer()
         supervisor = FleetSupervisor(method, config=FleetConfig(shards_per_layout=2))
         finished = []
-        supervisor.on_result = finished.append
         supervisor.start_serving()
         try:
-            supervisor.submit(cases[0])
+            supervisor.submit(cases[0], on_done=finished.append)
             assert method.entered.wait(5)
             started = time.monotonic()
             supervisor.stop_serving(timeout=0.05)
@@ -268,7 +270,7 @@ class TestServingLifecycle:
             assert settle(baseline + 2) == baseline + 2
             time.sleep(0.05)
             assert threading.active_count() == baseline + 2
-            supervisor.submit(cases[1])
+            supervisor.submit(cases[1], on_done=finished.append)
             deadline = time.monotonic() + 5
             while len(finished) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)

@@ -1,9 +1,11 @@
-"""Supervisor tests: bit-identity, quotas, crash protocol, warm engines."""
+"""Supervisor tests: bit-identity, tenants, crash protocol, warm engines."""
 
 from __future__ import annotations
 
 import gc
+import queue
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ class TestBitIdentity:
             RAPMiner(),
             cases,
             tenants=TENANTS,
-            config=FleetConfig.one_batch(len(cases), k_from_truth=True),
+            config=FleetConfig.one_batch(k_from_truth=True),
         )
         assert_matches_serial(evaluation, serial)
 
@@ -110,14 +112,38 @@ class TestBitIdentity:
             )
             assert_matches_serial(evaluation, serial)
 
-    def test_quota_pressure_does_not_change_output(self, cases, serial):
-        evaluation = fleet_localize(
-            RAPMiner(),
-            cases,
-            tenants=["solo"] * len(cases),  # everything on one tenant
-            config=FleetConfig(mode="inline", k_from_truth=True, tenant_quota=1),
+    def test_interleaved_tenants_do_not_change_output(self, cases, serial):
+        """Tenants submitting concurrently: every case still gets its
+        serial answer, and each tenant's cases keep their submission order."""
+        want = {r.case_id: r.predicted for r in serial.results}
+        by_tenant = {t: cases[i::3] for i, t in enumerate(["alpha", "beta", "gamma"])}
+        supervisor = FleetSupervisor(
+            RAPMiner(), config=FleetConfig(mode="thread", k_from_truth=True)
         )
-        assert_matches_serial(evaluation, serial)
+        start = threading.Barrier(len(by_tenant))
+
+        def submit_all(tenant, own):
+            start.wait()
+            for case in own:
+                supervisor.submit(case, tenant=tenant)
+
+        submitters = [
+            threading.Thread(target=submit_all, args=item) for item in by_tenant.items()
+        ]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        evaluation = supervisor.drain()
+        assert sorted(r.case_id for r in evaluation.results) == sorted(want)
+        for row in evaluation.results:
+            assert row.error is None
+            assert row.predicted == want[row.case_id]
+        order = [r.case_id for r in evaluation.results]
+        for own in by_tenant.values():
+            ids = [c.case_id for c in own]
+            assert sorted(ids, key=order.index) == ids
 
 
 class TestTenants:
@@ -136,51 +162,47 @@ class TestTenants:
         with pytest.raises(ValueError, match="parallel"):
             fleet_localize(RAPMiner(), cases, tenants=["a"])
 
-    def test_quota_parks_excess_in_overflow(self, cases):
-        supervisor = FleetSupervisor(
-            RAPMiner(), config=FleetConfig(mode="inline", tenant_quota=2)
-        )
+    def test_every_submission_queues_on_its_layout_fifo(self, cases):
+        supervisor = FleetSupervisor(RAPMiner(), config=FleetConfig(mode="inline"))
         with obs.capture() as collector:
             for case in cases:
                 supervisor.submit(case, tenant="hot")
-            # Only the admitted cases queue on the layout FIFO.
-            assert collector.metrics.family_total("fleet_queue_depth") == 2
+            assert collector.metrics.family_total("fleet_queue_depth") == len(cases)
             evaluation = supervisor.drain()
             assert collector.metrics.family_total("fleet_queue_depth") == 0
-        assert collector.metrics.value("fleet_quota_deferrals_total") == len(cases) - 2
         assert len(evaluation.results) == len(cases)
 
-    def test_overflow_layout_first_seen_mid_drain_completes_in_thread_mode(self):
-        """A layout born from an overflow admission must still be served.
+    def test_layout_first_seen_while_serving_gets_a_worker(self):
+        """A layout first seen while workers run must still be served.
 
-        Regression: the thread drain used to spawn workers only for the
-        shards existing at drain start.  A quota-deferred case of a
-        schema no admitted case shared only creates its shard group when
-        an earlier case completes, so no worker ever serviced it and
-        ``drain()`` blocked forever.
+        Its FIFO must get a worker thread when it is created, not only
+        when serving (or a thread drain) starts; otherwise its case never
+        runs and its wait blocks forever.  A served case's outcome goes
+        only to its callback: the fleet keeps nothing to drain.
         """
-        import threading
-
         mixed = list(make_cases(3)) + list(
             generate_rapmd(
                 cdn_schema(3, 2, 2, 2), RAPMDConfig(n_cases=1, n_days=2, seed=11)
             )
         )
         supervisor = FleetSupervisor(
-            RAPMiner(),
-            config=FleetConfig(mode="thread", tenant_quota=2, k_from_truth=True),
+            RAPMiner(), config=FleetConfig(mode="thread", k_from_truth=True)
         )
-        for case in mixed:
-            supervisor.submit(case, tenant="hot")
-        holder = {}
-        runner = threading.Thread(
-            target=lambda: holder.update(evaluation=supervisor.drain()), daemon=True
-        )
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive(), "drain() deadlocked on the mid-drain layout"
+        done = queue.Queue()
+        supervisor.start_serving()
+        try:
+            for case in mixed:
+                supervisor.submit(case, tenant="hot", on_done=done.put)
+            outcomes = [done.get(timeout=60) for __ in mixed]
+        finally:
+            supervisor.stop_serving(timeout=30)
+        outcomes.sort(key=lambda outcome: outcome.seq)
         serial = run_cases(RAPMiner(), mixed, k_from_truth=True)
-        assert_matches_serial(holder["evaluation"], serial)
+        assert [o.case_id for o in outcomes] == [r.case_id for r in serial.results]
+        assert [list(o.predicted) for o in outcomes] == [
+            r.predicted for r in serial.results
+        ]
+        assert supervisor.drain().results == []
 
 
 class TestCrashes:

@@ -1,7 +1,7 @@
 """Property: fleet output is bitwise-identical to serial, whatever happens.
 
-The fleet's determinism contract says the steal interleaving, the tenant
-mix, the shard count, the quota pressure and even injected worker
+The fleet's determinism contract says the worker interleaving, the
+tenant mix, the shard count and even injected worker
 crashes may change *where* and *when* a case runs — but
 never *what* it answers.  Hypothesis drives all of those dimensions at
 once through the deterministic ``inline`` drive (a seeded RNG picks which
@@ -76,7 +76,6 @@ def fleet_setups(draw):
         mode="inline",
         k_from_truth=True,
         shards_per_layout=draw(st.integers(1, 3)),
-        tenant_quota=draw(st.integers(1, 8)),
         schedule=random.Random(draw(st.integers(0, 2**32 - 1))),
     )
     # Each crash kills one shard, and requeued work needs a survivor: a

@@ -32,7 +32,7 @@ def half_budget():
 
 class TestDecisions:
     def test_tiers_catalogued(self):
-        assert TIERS == ("delta", "full", "vectorized", "serial", "layer_capped")
+        assert TIERS == ("delta", "full", "layer_capped")
 
     def test_delta_healthy_stays_on_top_rung(self):
         decision = DegradationPolicy().decide_delta(100, fresh_budget())
@@ -82,29 +82,6 @@ class TestDecisions:
         assert decision.tier == "layer_capped"
         assert decision.reason == "budget"
 
-    def test_batch_healthy_is_vectorized(self):
-        decision = DegradationPolicy().decide_batch(4, 100, fresh_budget())
-        assert decision.tier == "vectorized"
-        assert not decision.degraded
-
-    def test_batch_half_budget_steps_to_serial(self):
-        decision = DegradationPolicy(budget_fraction=0.5).decide_batch(
-            4, 100, half_budget()
-        )
-        assert decision.tier == "serial"
-        assert decision.reason == "budget"
-
-    def test_batch_drained_budget_caps(self):
-        decision = DegradationPolicy().decide_batch(4, 100, drained_budget())
-        assert decision.tier == "layer_capped"
-        assert decision.reason == "budget"
-
-    def test_batch_stacked_volume_steps_to_serial(self):
-        policy = DegradationPolicy(stacked_element_limit=100)
-        decision = policy.decide_batch(10, 50, None)
-        assert decision.tier == "serial"
-        assert decision.reason == "leaf_count"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DegradationPolicy(budget_fraction=0.2, critical_fraction=0.5)
@@ -136,31 +113,34 @@ class TestMinerIntegration:
         result = RAPMiner().run(datasets[0])
         assert result.stats.degradation_tier is None
 
-    def test_healthy_batch_records_vectorized_tier(self, datasets):
-        results = RAPMiner().run_batch(datasets, degradation=DegradationPolicy())
-        assert [r.stats.degradation_tier for r in results] == [
-            "vectorized",
-            "vectorized",
+    def test_batch_under_policy_equals_per_case_run(self, datasets):
+        policy = DegradationPolicy(leaf_limit=10, capped_layer=1)
+        batch = RAPMiner().run_batch(datasets, degradation=policy)
+        single = [RAPMiner().run(d, degradation=policy) for d in datasets]
+        assert [r.stats.degradation_tier for r in batch] == [
+            "layer_capped",
+            "layer_capped",
         ]
+        for got, want in zip(batch, single):
+            assert got.candidates == want.candidates
+            assert got.stats.degradation_tier == want.stats.degradation_tier
+            assert got.stats.stop_reason == want.stats.stop_reason
 
     def test_serial_fallback_is_bit_identical(self, datasets):
-        policy = DegradationPolicy(stacked_element_limit=1)
-        vectorized = RAPMiner().run_batch(datasets)
-        degraded = RAPMiner().run_batch(datasets, degradation=policy)
-        assert [r.stats.degradation_tier for r in degraded] == ["serial", "serial"]
-        for got, want in zip(degraded, vectorized):
-            assert [c.combination for c in got.candidates] == [
-                c.combination for c in want.candidates
-            ]
+        stacked = RAPMiner().run_batch(datasets)
+        degraded = RAPMiner().run_batch(datasets, degradation=DegradationPolicy())
+        assert [r.stats.degradation_tier for r in degraded] == ["full", "full"]
+        for got, want in zip(degraded, stacked):
+            assert got.candidates == want.candidates
 
     def test_degrade_decisions_counted(self, datasets):
         with obs.capture() as collector:
             RAPMiner().run_batch(
-                datasets, degradation=DegradationPolicy(stacked_element_limit=1)
+                datasets, degradation=DegradationPolicy(leaf_limit=10)
             )
         assert collector.metrics.value(
-            "resilience_degrade_total", {"tier": "serial", "reason": "leaf_count"}
-        ) == 1.0
+            "resilience_degrade_total", {"tier": "layer_capped", "reason": "leaf_count"}
+        ) == 2.0
 
     def test_config_carries_policy(self, datasets):
         miner = RAPMiner(

@@ -243,14 +243,15 @@ class TestDeadlines:
                 time.sleep(0.02)
             assert server.admission.depth == 0
 
-    def test_timed_out_requests_leave_no_parked_outcome(self, cases):
-        """A late result is taken by its ``_pending`` entry, not parked."""
+    def test_timed_out_requests_leave_no_parked_outcome(self, cases, serial):
+        """Late results release their slots and leave the server serving."""
         tenant = {"tenant": "edge"}
+        method = SlowMiner(0.3)
         with obs.capture() as collector:
             # One worker: results land one at a time, so the gauges'
             # last writes are ordered.
             with serve(
-                method=SlowMiner(0.3),
+                method=method,
                 fleet=FleetConfig(shards_per_layout=1),
                 request_timeout_s=0.05,
             ) as server:
@@ -263,15 +264,22 @@ class TestDeadlines:
                 assert metrics.value("serving_queue_depth") >= 1
                 assert metrics.value("serving_tenant_inflight", tenant) >= 1
                 deadline = time.time() + 10
-                while (
-                    server.admission.depth or server._pending
-                ) and time.time() < deadline:
+                while server.admission.depth and time.time() < deadline:
                     time.sleep(0.02)
-                assert server._early == {}
-                assert server._pending == {}
+                assert server.admission.depth == 0
+                assert server.admission.tenant_inflight("edge") == 0
+                assert server.requests_served == 3
                 assert metrics.value("serving_queue_depth") == 0
                 assert metrics.value("serving_tenant_inflight", tenant) == 0
                 assert metrics.get("serving_request_seconds").count == 3
+                # A fast follow-up, with room to answer, is served.
+                method.delay = 0.0
+                server.config.request_timeout_s = 30.0
+                case = cases[1]
+                body = client.localize(case, k=len(case.true_raps), tenant="edge")
+                assert body["status"] == "ok"
+                assert body["root_causes"] == serial[case.case_id]
+                assert server.requests_served == 4
 
 
 def _edit_bytes(column, edit):
