@@ -232,7 +232,8 @@ class FleetSupervisor:
 
     One supervisor serves one *drain*: submit cases (all up front or
     incrementally), call :meth:`drain`, collect the
-    :class:`~repro.experiments.runner.MethodEvaluation`.  Worker
+    :class:`~repro.experiments.runner.MethodEvaluation`.  Each drain
+    returns the cases finished since the previous one.  Worker
     sessions keep their engines across drains on the same supervisor —
     that is what :meth:`warm_start` exploits after a restart.
     """
@@ -606,9 +607,10 @@ class FleetSupervisor:
     def drain(self) -> MethodEvaluation:
         """Run every submitted case to completion and return the results.
 
-        The rows are the outcomes of every case submitted without an
-        ``on_done`` callback, ordered by submission sequence id — the
-        serial order — regardless of which worker ran what.
+        The rows are the outcomes of the cases submitted without an
+        ``on_done`` callback that finished since the previous drain,
+        ordered by submission sequence id — the serial order — regardless
+        of which worker ran what.
         """
         with obs.span("fleet.drain", cases=self._next_seq, mode=self.config.mode):
             with self._lock:
@@ -623,8 +625,8 @@ class FleetSupervisor:
             method_name=getattr(self.method, "name", type(self.method).__name__)
         )
         with self._lock:
-            self._collected.sort(key=lambda outcome: outcome.seq)
-            outcomes = list(self._collected)
+            outcomes, self._collected = self._collected, []
+        outcomes.sort(key=lambda outcome: outcome.seq)
         for outcome in outcomes:
             evaluation.results.append(
                 CaseResult(
