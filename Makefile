@@ -18,12 +18,10 @@ docs-check:
 
 # Fleet gate (tier-1): executor (per-layout FIFOs, per-case completion
 # callbacks, crash protocol, serving lifecycle), supervisor and store
-# suites, the batch-localize configuration (one inline worker per layout,
-# tests/fleet/test_batch_localize.py) vs serial, the bitwise
-# fleet-vs-serial property test, the bitwise carried-engine property
-# test (tests/property/test_carried_engine_properties.py: streaming
-# miner and 1- and 2-worker fleets vs stateless), and a 2-worker
-# fast-preset smoke.
+# suites, the bitwise fleet-vs-serial property test, the bitwise
+# carried-engine property test
+# (tests/property/test_carried_engine_properties.py: streaming miner and
+# 1- and 2-worker fleets vs stateless), and a 2-worker fast-preset smoke.
 fleet-check:
 	pytest tests/fleet/ tests/property/test_fleet_properties.py tests/property/test_carried_engine_properties.py -p no:cacheprovider
 

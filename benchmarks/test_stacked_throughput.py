@@ -13,8 +13,8 @@ Measured configurations:
 * **serial** — :func:`run_cases`, one cold engine per snapshot (the
   figure drivers' behaviour);
 * **vectorized** — one :meth:`RAPMiner.run_batch` call over the whole
-  stream: the in-process stacked kernel (offline batch evaluation only;
-  ``repro batch-localize`` and the fleet run cases one at a time).
+  stream: the in-process stacked kernel that ``repro batch-localize``
+  runs (the fleet runs cases one at a time).
 
 The vectorized output is asserted bit-identical to serial, and the
 kernel is pure array-level batching, so its ``TARGET_SPEEDUP`` floor is

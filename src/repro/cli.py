@@ -11,11 +11,10 @@ Subcommands
     PATH`` to capture the run's spans and engine counters as JSONL (see
     ``docs/observability.md``).
 ``repro batch-localize``
-    Run one localizer over a saved bundle on the fleet
-    (:mod:`repro.fleet`): every case queued at once, one inline worker
-    per schema layout carrying its engine across cases on a
-    :class:`~repro.core.delta.DeltaSession`.  Output is bit-identical to
-    the serial ``localize`` path; the command reports throughput.
+    Run one localizer over a saved bundle in one call: RAPMiner's
+    case-stacked :meth:`~repro.core.miner.RAPMiner.run_batch`, a plain
+    per-case loop for the baselines.  Output is bit-identical to the
+    serial ``localize`` path; the command reports throughput.
 ``repro fleet-localize``
     Serve a saved bundle through the multi-tenant fleet
     (:mod:`repro.fleet`): one FIFO per schema layout served by workers
@@ -217,17 +216,11 @@ def _run_localize(args: argparse.Namespace) -> int:
     runner = getattr(method, "run", None)
     for case in cases:
         k = args.k if args.k is not None else len(case.true_raps)
-        note = ""
         if callable(runner):
             result = runner(case.dataset, k)
-            predicted = result.patterns
-            stats = getattr(result, "stats", None)
-            stop_reason = getattr(stats, "stop_reason", None)
-            tier = getattr(stats, "degradation_tier", None)
-            if stop_reason == "deadline" or tier is not None:
-                note = f"  [stop={stop_reason or 'n/a'} tier={tier or 'full'}]"
+            predicted, note = result.patterns, _stop_note(result)
         else:
-            predicted = method.localize(case.dataset, k)
+            predicted, note = method.localize(case.dataset, k), ""
         hits = sum(1 for p in predicted if p in case.true_raps)
         print(f"{case.case_id}  ({method.name}, k={k}){note}")
         print(f"  truth:     {', '.join(str(r) for r in case.true_raps)}")
@@ -236,35 +229,53 @@ def _run_localize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stop_note(result) -> str:
+    """The row note of a deadline-stopped or degraded result, else ``""``."""
+    stop, tier = result.stats.stop_reason, result.stats.degradation_tier
+    if stop == "deadline" or tier is not None:
+        return f"  [stop={stop or 'n/a'} tier={tier or 'full'}]"
+    return ""
+
+
+def _batch_rows(method, cases, ks) -> List[tuple]:
+    """``(predicted, note)`` per case from one ``run_batch`` call that ranks
+    every candidate, truncated to each case's own ``k``.  Baselines, and
+    batches where ``run_batch`` raises, run case by case through
+    ``localize``; a case that raises there gets an ``ERROR`` note."""
+    if hasattr(method, "run_batch"):
+        try:
+            results = method.run_batch([case.dataset for case in cases])
+            return [(r.top(k), _stop_note(r)) for r, k in zip(results, ks)]
+        except Exception as exc:  # rerun per case to isolate the failing ones
+            print(f"run_batch raised {type(exc).__name__}: {exc}", file=sys.stderr)
+    rows = []
+    for case, k in zip(cases, ks):
+        try:
+            rows.append((method.localize(case.dataset, k), ""))
+        except Exception as exc:
+            rows.append(([], f"  ERROR {type(exc).__name__}: {exc}"))
+    return rows
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     import time as _time
-
-    from .fleet import FleetConfig, fleet_localize
 
     cases = load_cases(args.cases)
     method = _apply_resilience(
         _resolve_methods(args.method)[0], args.deadline_ms, args.degrade
     )
-    config = FleetConfig.one_batch(k=args.k, k_from_truth=args.k is None)
+    ks = [args.k if args.k is not None else len(case.true_raps) for case in cases]
     start = _time.perf_counter()
-    evaluation = fleet_localize(method, cases, config=config)
+    rows = _batch_rows(method, cases, ks)
     wall = _time.perf_counter() - start
-    for result in evaluation.results:
-        hits = sum(1 for p in result.predicted if p in result.true_raps)
-        suffix = f"  ERROR {result.error}" if result.error else ""
-        print(
-            f"{result.case_id}  hits {hits}/{len(result.true_raps)}  "
-            f"{result.seconds * 1e3:.1f} ms{suffix}"
-        )
-    failures = evaluation.failures()
-    if failures:
-        print(f"\n{len(failures)} case(s) returned error records (crashed twice)")
-    localizing = sum(r.seconds for r in evaluation.results)
+    for case, (predicted, note) in zip(cases, rows):
+        hits = sum(1 for p in predicted if p in case.true_raps)
+        print(f"{case.case_id}  hits {hits}/{len(case.true_raps)}{note}")
+    errors = sum(note.startswith("  ERROR") for __, note in rows)
+    if errors:
+        print(f"\n{errors} case(s) returned error records")
     throughput = len(cases) / wall if wall > 0 else float("inf")
-    print(
-        f"\n{len(cases)} cases on one worker per layout: {wall:.3f} s wall "
-        f"({localizing:.3f} s localizing), {throughput:.1f} cases/s"
-    )
+    print(f"\n{len(cases)} cases in one batch: {wall:.3f} s wall, {throughput:.1f} cases/s")
     return 0
 
 
@@ -647,14 +658,21 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
+def _top_k(text: str) -> int:
+    """``--k``: a pattern count, so a non-negative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_resilience_flags(subparser: argparse.ArgumentParser, scope: str = "per-run") -> None:
     subparser.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         metavar="MS",
-        help="per-run wall-clock budget; over-budget searches return the "
-        "candidates found so far (stop_reason=deadline)",
+        help=f"{scope} wall-clock budget; over-budget searches return "
+        "the candidates found so far (stop_reason=deadline)",
     )
     subparser.add_argument(
         "--degrade",
@@ -680,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     localize = sub.add_parser("localize", help="run one localizer over a bundle")
     localize.add_argument("--cases", required=True, help="case bundle JSON")
     localize.add_argument("--method", default="RAPMiner")
-    localize.add_argument("--k", type=int, default=None)
+    localize.add_argument("--k", type=_top_k, default=None)
     localize.add_argument("--case-id", default=None)
     localize.add_argument(
         "--trace",
@@ -693,12 +711,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch-localize",
-        help="run one localizer over a bundle, one fleet worker per layout",
+        help="run one localizer over a whole bundle in one batch call",
     )
     batch.add_argument("--cases", required=True, help="case bundle (.json or .npz)")
     batch.add_argument("--method", default="RAPMiner")
-    batch.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
-    _add_resilience_flags(batch)
+    batch.add_argument("--k", type=_top_k, default=None, help="top-k (default: k from truth)")
+    _add_resilience_flags(batch, scope="whole-batch")
     batch.set_defaults(handler=_cmd_batch)
 
     fleet = sub.add_parser(
@@ -707,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--cases", help="case bundle (.json or .npz)")
     fleet.add_argument("--method", default="RAPMiner")
-    fleet.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
+    fleet.add_argument("--k", type=_top_k, default=None, help="top-k (default: k from truth)")
     fleet.add_argument(
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
     )
@@ -731,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a bundle as one tick stream through the delta pipeline",
     )
     stream.add_argument("--cases", required=True, help="case bundle (.json or .npz)")
-    stream.add_argument("--k", type=int, default=None, help="top-k (default: k from truth)")
+    stream.add_argument("--k", type=_top_k, default=None, help="top-k (default: k from truth)")
     stream.add_argument(
         "--crossover",
         default="auto",
@@ -775,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--method", default="RAPMiner")
     serve.add_argument(
-        "--k", type=int, default=None, help="default top-k when a request sends none"
+        "--k", type=_top_k, default=None, help="default top-k when a request sends none"
     )
     serve.add_argument(
         "--shards", type=int, default=2, help="workers per schema layout FIFO"
@@ -864,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--cases", required=True)
     analyze.add_argument("--method", default="RAPMiner")
-    analyze.add_argument("--k", type=int, default=3)
+    analyze.add_argument("--k", type=_top_k, default=3)
     analyze.set_defaults(handler=_cmd_analyze)
 
     reproduce = sub.add_parser("reproduce", help="regenerate a paper table/figure")

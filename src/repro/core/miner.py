@@ -214,9 +214,6 @@ class RAPMiner:
         scores, stats and stop reasons — are bit-identical to calling
         :meth:`run` on every dataset individually, in input order.
 
-        No serving or fleet path calls it; the offline batch benchmarks
-        (perfbench ``batch``, ``make bench-stacked``) measure it.
-
         ``budget`` is shared by the whole batch.  With a degradation
         policy (``degradation`` or ``config.degradation``) the batch runs
         case by case through :meth:`run` under that policy and the shared

@@ -103,7 +103,6 @@ def run_cases(
     cases: Sequence[LocalizationCase],
     k: Optional[int] = None,
     k_from_truth: bool = False,
-    group_key: str = "group",
 ) -> MethodEvaluation:
     """Evaluate *method* over *cases*.
 
@@ -118,9 +117,6 @@ def run_cases(
     k_from_truth:
         Request exactly ``len(case.true_raps)`` patterns per case (the
         Squeeze-dataset F1 protocol).
-    group_key:
-        Metadata key used to group results (``"group"`` for the Squeeze
-        dataset's ``(n_dim, n_raps)`` keys).
 
     This serial loop is the reference every executor path
     (:mod:`repro.fleet`) is tested bit-identical against.
@@ -135,7 +131,7 @@ def run_cases(
                 predicted=list(predicted),
                 true_raps=tuple(case.true_raps),
                 seconds=seconds,
-                group=case.metadata.get(group_key),
+                group=case.metadata.get("group"),
             )
         )
     return evaluation

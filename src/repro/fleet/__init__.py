@@ -1,7 +1,6 @@
 """Multi-tenant case executor.
 
-Every multi-case path of the repository — ``fleet-localize``,
-``batch-localize`` and ``serve`` — runs here: one FIFO per schema layout,
+``fleet-localize`` and ``serve`` run here: one FIFO per schema layout,
 served by worker threads that each keep a private warm engine, a
 per-case completion callback and the crash protocol
 (:mod:`repro.fleet.supervisor`), and an append-only segment-log store

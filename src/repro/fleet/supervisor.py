@@ -1,7 +1,6 @@
-"""Fleet supervisor: the one executor for many localization cases.
+"""Fleet supervisor: the executor for many concurrent localization cases.
 
-:class:`FleetSupervisor` runs every multi-case path of the repository —
-``repro fleet-localize``, ``repro batch-localize`` and the ``repro
+:class:`FleetSupervisor` runs ``repro fleet-localize`` and the ``repro
 serve`` front door.  Cases queue on **one FIFO per schema layout** (the
 ``(attribute names, sizes)`` pair that decides whether two cases can
 share an engine's code-derived caches).  Each FIFO is served by
@@ -104,8 +103,6 @@ class FleetConfig:
     k: Optional[int] = None
     #: Use ``len(case.true_raps)`` as each case's ``k`` (oracle cardinality).
     k_from_truth: bool = False
-    #: Metadata key copied onto ``CaseResult.group``.
-    group_key: str = "group"
     #: Inline-mode worker interleaving: a ``random.Random``-like object
     #: with ``choice`` picks which ready worker steps next; ``None`` is
     #: round-robin.  Ignored in thread mode.
@@ -118,15 +115,6 @@ class FleetConfig:
             raise ValueError(
                 f"shards_per_layout must be >= 1, got {self.shards_per_layout}"
             )
-
-    @classmethod
-    def one_batch(cls, **overrides) -> "FleetConfig":
-        """The ``batch-localize`` configuration: one inline worker per layout.
-
-        Each layout's worker runs its FIFO case by case on its
-        :class:`~repro.core.delta.DeltaSession`.
-        """
-        return cls(shards_per_layout=1, mode="inline", **overrides)
 
 
 @dataclass
@@ -183,7 +171,7 @@ class CaseOutcome:
     predicted: Tuple
     true_raps: Tuple
     seconds: float
-    #: The case's ``metadata[config.group_key]``.
+    #: The case's ``metadata["group"]``, as in ``run_cases``.
     group: Optional[str] = None
     #: Id of the worker that ran the case (``None`` for error rows).
     shard: Optional[int] = None
@@ -507,7 +495,7 @@ class FleetSupervisor:
             predicted=tuple(predicted),
             true_raps=tuple(case.true_raps),
             seconds=seconds,
-            group=case.metadata.get(self.config.group_key),
+            group=case.metadata.get("group"),
             shard=shard,
             error=error,
             stop_reason=stop_reason,
@@ -767,7 +755,7 @@ def fleet_localize(
     config: Optional[FleetConfig] = None,
     store: Optional[Union[FleetStore, str]] = None,
 ) -> MethodEvaluation:
-    """One-shot fleet run over *cases* (the CLI and test entry point).
+    """One-shot fleet run over *cases* (the store replay and test entry point).
 
     ``tenants`` parallels ``cases``; omitted, each case's
     ``metadata["tenant"]`` (default ``"default"``) is used.  ``store``

@@ -273,7 +273,7 @@ class TestRunBatch:
             (c.combination, c.confidence, c.support, c.anomalous_support, c.layer)
             for c in want.candidates
         ]
-        assert got.stats.stop_reason == want.stats.stop_reason
+        assert got.stats == want.stats
         if want.deletion is None:
             assert got.deletion is None
         else:
@@ -290,11 +290,17 @@ class TestRunBatch:
         ],
     )
     def test_matches_serial_run(self, config):
-        datasets = make_datasets(4)
+        # One layout group whose cases keep different attribute sets, so
+        # the batch splits into several CP sub-groups.
+        datasets = make_datasets(8)
+        assert len(group_datasets_by_layout(datasets)) == 1
         miner = RAPMiner(config)
         batch = miner.run_batch(datasets)
         for dataset, result in zip(datasets, batch):
             self.assert_results_equal(result, miner.run(dataset))
+        if config.enable_attribute_deletion:
+            kept_sets = {frozenset(r.deletion.kept_indices) for r in batch}
+            assert len(kept_sets) >= 2
 
     def test_k_truncation_matches(self):
         datasets = make_datasets(4)

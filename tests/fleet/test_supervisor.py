@@ -94,7 +94,7 @@ class TestBitIdentity:
             RAPMiner(),
             cases,
             tenants=TENANTS,
-            config=FleetConfig.one_batch(k_from_truth=True),
+            config=FleetConfig(shards_per_layout=1, mode="inline", k_from_truth=True),
         )
         assert_matches_serial(evaluation, serial)
 

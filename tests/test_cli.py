@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro import RAPMiner, obs
+from repro.baselines import Adtributor
 from repro.cli import build_parser, main
+from repro.data.io import load_cases, save_cases
+from repro.data.rapmd import RAPMDConfig, generate_rapmd
+from repro.data.schema import cdn_schema, schema_from_sizes
+from repro.experiments.presets import fast_preset
+from repro.experiments.runner import run_cases
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +32,24 @@ class TestParser:
     def test_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "--cases", "b.json"],
+            ["batch-localize", "--cases", "b.json"],
+            ["fleet-localize", "--cases", "b.json"],
+            ["stream-localize", "--cases", "b.json"],
+            ["serve"],
+            ["analyze", "--cases", "b.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejects_negative_k(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--k", "-1"])
+        assert exit_info.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -293,12 +321,69 @@ class TestProfile:
         assert "no span records" in capsys.readouterr().out
 
 
+def write_bundle(directory, cases, name="bundle.json"):
+    path = directory / name
+    save_cases(cases, path)
+    return path
+
+
+def run_batch_localize(path, *flags, monkeypatch, capsys):
+    """Run ``repro batch-localize`` over *path*.
+
+    Returns the printed ``(case_id, hits)`` rows and the
+    ``(case_id, predicted)`` pairs the command ranked (recorded by
+    wrapping its row builder, since rows print hits, not patterns).
+    """
+    import repro.cli as cli
+
+    ranked = []
+    real_rows = cli._batch_rows
+
+    def recording_rows(method, cases, ks):
+        rows = real_rows(method, cases, ks)
+        for case, (predicted, __) in zip(cases, rows):
+            ranked.append((case.case_id, list(predicted)))
+        return rows
+
+    monkeypatch.setattr(cli, "_batch_rows", recording_rows)
+    capsys.readouterr()
+    assert main(["batch-localize", "--cases", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    rows = [tuple(l.split()[:3:2]) for l in out.splitlines() if "  hits " in l]
+    return rows, ranked
+
+
+def serial_rows(method, cases, **kwargs):
+    """What serial ``localize`` prints and ranks for *cases*."""
+    evaluation = run_cases(method, cases, **kwargs)
+    printed = [
+        (r.case_id, f"{sum(p in r.true_raps for p in r.predicted)}/{len(r.true_raps)}")
+        for r in evaluation.results
+    ]
+    return printed, [(r.case_id, r.predicted) for r in evaluation.results]
+
+
+@pytest.fixture(scope="module")
+def small_cases():
+    return generate_rapmd(
+        cdn_schema(4, 2, 2, 3), RAPMDConfig(n_cases=4, n_days=2, seed=9)
+    )
+
+
+@pytest.fixture(scope="module")
+def small_bundle(small_cases, tmp_path_factory):
+    return write_bundle(tmp_path_factory.mktemp("batch"), small_cases)
+
+
 class TestBatchLocalize:
+    """``repro batch-localize``: one ``RAPMiner.run_batch`` call (a
+    per-case loop for baselines) whose rows equal serial ``localize``."""
+
     def test_reports_throughput(self, bundle, capsys):
         code = main(["batch-localize", "--cases", str(bundle), "--k", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "one worker per layout" in out
+        assert "cases in one batch" in out
         assert "cases/s" in out
 
     def test_matches_serial_localize_output(self, bundle, capsys):
@@ -328,6 +413,123 @@ class TestBatchLocalize:
         code = main(["batch-localize", "--cases", str(path), "--k", "3"])
         assert code == 0
         assert "cases/s" in capsys.readouterr().out
+
+    def test_matches_serial(self, small_cases, small_bundle, monkeypatch, capsys):
+        got = run_batch_localize(
+            small_bundle, "--k", "3", monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert got == serial_rows(RAPMiner(), small_cases, k=3)
+
+    def test_k_from_truth(self, small_cases, small_bundle, monkeypatch, capsys):
+        got = run_batch_localize(small_bundle, monkeypatch=monkeypatch, capsys=capsys)
+        assert got == serial_rows(RAPMiner(), small_cases, k_from_truth=True)
+
+    def test_fast_preset(self, tmp_path, monkeypatch, capsys):
+        preset_cases = fast_preset(seed=1).rapmd_cases()
+        path = write_bundle(tmp_path, preset_cases)
+        got = run_batch_localize(
+            path, "--k", "5", monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert got == serial_rows(RAPMiner(), preset_cases, k=5)
+
+    def test_randomized_schema_grid(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(4)
+        grid_cases = []
+        layouts = set()
+        for trial in range(2):
+            sizes = tuple(int(rng.integers(2, 6)) for _ in range(4))
+            layouts.add(sizes)
+            grid_cases += [
+                replace(case, case_id=f"grid{trial}-{case.case_id}")
+                for case in generate_rapmd(
+                    schema_from_sizes(list(sizes)),
+                    RAPMDConfig(n_cases=4, n_days=1, seed=30 + trial),
+                )
+            ]
+        assert len(layouts) == 2  # one bundle, two layout groups
+        path = write_bundle(tmp_path, grid_cases)
+        got = run_batch_localize(path, monkeypatch=monkeypatch, capsys=capsys)
+        assert got == serial_rows(RAPMiner(), grid_cases, k_from_truth=True)
+
+    def test_search_counters_match_serial(self, small_cases, small_bundle, capsys):
+        with obs.capture() as collector:
+            main(["batch-localize", "--cases", str(small_bundle), "--k", "3"])
+        # Every case runs on the stacked kernel, none on a fleet worker.
+        assert collector.metrics.value("stacked_batch_cases_total") == len(
+            small_cases
+        )
+        assert collector.metrics.family_total("fleet_engine_builds_total") == 0
+        with obs.capture() as serial_collector:
+            run_cases(RAPMiner(), small_cases, k=3)
+        for name in (
+            "search_cuboids_total",
+            "search_combinations_total",
+            "search_candidates_total",
+            "search_criteria3_pruned_total",
+        ):
+            assert collector.metrics.value(name) == serial_collector.metrics.value(
+                name
+            ), name
+
+    def test_baseline_matches_serial(
+        self, small_cases, small_bundle, monkeypatch, capsys
+    ):
+        got = run_batch_localize(
+            small_bundle,
+            "--method",
+            "Adtributor",
+            "--k",
+            "3",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert got == serial_rows(Adtributor(), small_cases, k=3)
+
+    def test_failing_case_becomes_one_error_row(
+        self, small_cases, small_bundle, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        want, __ = serial_rows(RAPMiner(), small_cases, k=3)
+        cases = load_cases(small_bundle)
+        bad = cases[1]
+        real_localize = RAPMiner.localize
+
+        def failing_batch(self, datasets, k=None, budget=None, degradation=None):
+            raise RuntimeError("stacked kernel down")
+
+        def localize(self, dataset, k=None):
+            if dataset is bad.dataset:
+                raise ValueError("injected failure")
+            return real_localize(self, dataset, k)
+
+        monkeypatch.setattr(cli, "load_cases", lambda path: cases)
+        monkeypatch.setattr(RAPMiner, "run_batch", failing_batch)
+        monkeypatch.setattr(RAPMiner, "localize", localize)
+        capsys.readouterr()
+        assert main(["batch-localize", "--cases", str(small_bundle), "--k", "3"]) == 0
+        out, err = capsys.readouterr()
+        rows = [l for l in out.splitlines() if "  hits " in l]
+        errors = [l for l in rows if "ERROR" in l]
+        assert errors == [
+            f"{bad.case_id}  hits 0/{len(bad.true_raps)}  "
+            "ERROR ValueError: injected failure"
+        ]
+        assert [tuple(l.split()[:3:2]) for l in rows if "ERROR" not in l] == [
+            row for row in want if row[0] != bad.case_id
+        ]
+        assert "1 case(s) returned error records" in out
+        assert "run_batch raised RuntimeError: stacked kernel down" in err
+
+    def test_degrade_notes_match_localize(self, small_bundle, capsys):
+        def notes(command):
+            main([command, "--cases", str(small_bundle), "--k", "3", "--degrade"])
+            lines = capsys.readouterr().out.splitlines()
+            return [l[l.index("[stop=") :] for l in lines if "[stop=" in l]
+
+        serial_notes = notes("localize")
+        assert notes("batch-localize") == serial_notes
+        assert len(serial_notes) == 4
 
 
 class TestFleetReplay:
