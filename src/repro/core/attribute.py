@@ -142,6 +142,15 @@ class AttributeSchema:
             raise IndexError(f"code {code} out of range for attribute {self._names[idx]!r}")
         return elems[code]
 
+    def combination(
+        self, indices: Sequence[int], codes: Sequence[int]
+    ) -> "AttributeCombination":
+        """Decode ``codes[p]`` of attribute ``indices[p]``; the others are ``*``."""
+        values: List[Optional[str]] = [None] * len(self._names)
+        for attr_index, code in zip(indices, codes):
+            values[attr_index] = self.decode(attr_index, int(code))
+        return AttributeCombination(values)
+
     # -- leaf enumeration ----------------------------------------------------
 
     def iter_leaf_values(self) -> Iterator[Tuple[str, ...]]:

@@ -9,12 +9,13 @@ every tick even when only a small fraction of leaves changed.  A
   previous tick's (``v``, ``f`` and labels); only the changed rows feed
   the patch pass.
 * **Patch** — every cuboid aggregate cached on the previous engine is
-  carried to the new tick.  Occupancy, support and group codes are
-  label-independent and shared by reference.  Anomalous support moves
-  only where a label flipped: the flipped rows' linear keys for *all*
-  cached cuboids come from one integer matmul (the same stride-matrix
-  idiom as :meth:`~repro.core.engine.AggregationEngine._aggregate_batch`),
-  and two bincounts over them give the dense per-group delta, applied in
+  carried to the new tick by
+  :meth:`~repro.core.engine.AggregationEngine.patched_clone`.  Occupancy,
+  support and group codes are label-independent and shared by reference.
+  Anomalous support moves only where a label flipped: the flipped rows'
+  linear keys for *all* cached cuboids come from one integer matmul over
+  the engine's stride plan (the layout its cold batched pass uses), and
+  two bincounts over them give the dense per-group delta, applied in
   **exact integer** arithmetic.  A tick without label flips runs no kernel
   at all.  Candidate sets, confidences and RAPScores are therefore
   bit-identical to a cold run on every tick.
@@ -48,11 +49,10 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..data.dataset import CuboidAggregate, FineGrainedDataset
+from ..data.dataset import FineGrainedDataset
 from ..obs import trace as _trace
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationDecision, DegradationPolicy
-from . import kernels
 from .attribute import AttributeCombination
 from .config import RAPMinerConfig
 from .engine import AggregationEngine, engine_for, release_engine
@@ -170,11 +170,8 @@ class DeltaSession:
     def __init__(self, config: Optional[DeltaConfig] = None):
         self.config = config if config is not None else DeltaConfig()
         self.stats = DeltaStats()
-        self._previous: Optional[FineGrainedDataset] = None
+        #: The previous tick's engine; its dataset is the previous tick.
         self._engine: Optional[AggregationEngine] = None
-        #: (cached-cuboid keys, stride matrix, offsets, total capacity)
-        #: — rebuilt only when the cached-cuboid set changes.
-        self._plan: Optional[tuple] = None
         self._cold_seconds: Optional[float] = None
         self._patched_per_row: Optional[float] = None
 
@@ -186,9 +183,7 @@ class DeltaSession:
         """
         if self._engine is not None:
             release_engine(self._engine)
-        self._previous = None
         self._engine = None
-        self._plan = None
 
     # -- crossover ---------------------------------------------------------
 
@@ -202,13 +197,13 @@ class DeltaSession:
         if (
             self._cold_seconds is None
             or self._patched_per_row is None
-            or self._previous is None
-            or self._previous.n_rows == 0
+            or self._engine is None
+            or self._engine.dataset.n_rows == 0
         ):
             return cfg.auto_initial
         # Patched cost is ~linear in changed rows; break even where a
         # fully-changed patch would cost as much as one cold tick.
-        full_patch = self._patched_per_row * self._previous.n_rows
+        full_patch = self._patched_per_row * self._engine.dataset.n_rows
         if full_patch <= 0.0:
             return hi
         return min(hi, max(lo, self._cold_seconds / full_patch))
@@ -255,7 +250,6 @@ class DeltaSession:
         if engine is None:
             return self._cold_tick(dataset, "first_tick", None, start, compatible=False)
         if not engine.compatible_with(dataset):
-            self._plan = None
             return self._cold_tick(
                 dataset, "layout_change", None, start, compatible=False
             )
@@ -270,7 +264,7 @@ class DeltaSession:
                     start,
                     compatible=True,
                 )
-        previous = self._previous
+        previous = engine.dataset
         changed = np.flatnonzero(
             (previous.v != dataset.v)
             | (previous.f != dataset.f)
@@ -290,8 +284,7 @@ class DeltaSession:
                 changed_rows=changed.size,
                 fraction=fraction,
             )
-        clone, patched = self._patch(engine, previous, dataset, changed)
-        self._previous = dataset
+        clone, patched = engine.patched_clone(dataset, changed)
         self._engine = clone
         release_engine(engine)
         tick = DeltaTick(
@@ -330,7 +323,6 @@ class DeltaSession:
             engine = previous.warm_clone(dataset)
         else:
             engine = engine_for(dataset)
-        self._previous = dataset
         self._engine = engine
         if previous is not None and previous is not engine:
             release_engine(previous)
@@ -346,87 +338,6 @@ class DeltaSession:
         )
         self._note(tick)
         return tick
-
-    # -- the patch kernel --------------------------------------------------
-
-    def _build_plan(self, engine: AggregationEngine, keys: List[tuple]) -> tuple:
-        """Stride matrix + disjoint offsets over every cached cuboid.
-
-        Mirrors the batched-aggregation layout: column ``j`` of the
-        stride matrix maps a leaf's codes to cuboid ``j``'s linear key,
-        and the offsets shift each cuboid's key space into a disjoint
-        range so one bincount patches every cuboid at once.  Stable
-        across ticks (the cached-cuboid set rarely changes), so it is
-        memoized on the session.
-        """
-        stride_matrix = np.zeros((len(engine._sizes), len(keys)), dtype=np.int64)
-        offsets = np.empty(len(keys), dtype=np.int64)
-        total = 0
-        for j, indices in enumerate(keys):
-            __, strides, capacity = engine._geometry(indices)
-            for position, attr in enumerate(indices):
-                stride_matrix[attr, j] = strides[position]
-            offsets[j] = total
-            total += capacity
-        return (tuple(keys), stride_matrix, offsets, total)
-
-    def _patch(
-        self,
-        engine: AggregationEngine,
-        old: FineGrainedDataset,
-        new: FineGrainedDataset,
-        changed: np.ndarray,
-    ) -> Tuple[AggregationEngine, int]:
-        """Warm clone of *engine* with every cached aggregate carried over.
-
-        Anomalous support is patched exactly from the label flips; the
-        ``v``/``f`` lanes are bound to *new*'s arrays and computed when
-        read.  Aggregates are immutable by convention, so carried lanes
-        land on *new* :class:`CuboidAggregate` objects — per-aggregate
-        caches (the confidence vector) can never leak stale values across
-        ticks.
-        """
-        clone = engine.warm_clone(new)
-        keys = sorted(engine._aggregates)
-        if not keys:
-            return clone, 0
-        if changed.size == 0:
-            # Identical tick: every cached aggregate is still exact.
-            clone._aggregates.update(engine._aggregates)
-            return clone, len(keys)
-        old_labels = old.labels[changed]
-        new_labels = new.labels[changed]
-        gained = new_labels & ~old_labels
-        lost = old_labels & ~new_labels
-        anomalous_delta = None
-        if gained.any() or lost.any():
-            plan = self._plan
-            if plan is None or plan[0] != tuple(keys):
-                plan = self._build_plan(engine, keys)
-                self._plan = plan
-            __, stride_matrix, offsets, total = plan
-            anomalous_delta = kernels.delta_patch(
-                new.codes[changed], stride_matrix, offsets, total, gained, lost
-            )
-            if _trace.ACTIVE:
-                obs.inc("engine_bincount_passes_total", 2, kind="delta_patch")
-
-        shapes = engine._shapes
-        for j, indices in enumerate(keys):
-            aggregate = engine._aggregates[indices]
-            occupied = shapes[indices].occupied
-            anomalous = aggregate.anomalous_support
-            if anomalous_delta is not None:
-                anomalous = anomalous + anomalous_delta[offsets[j] + occupied]
-            clone._aggregates[indices] = CuboidAggregate(
-                cuboid=aggregate.cuboid,
-                schema=new.schema,
-                codes=aggregate.codes,
-                support=aggregate.support,
-                anomalous_support=anomalous,
-                lanes=clone._lanes(indices, occupied),
-            )
-        return clone, len(keys)
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -30,10 +30,16 @@ scan per combination.  :class:`AggregationEngine` shares that work:
 * **Inverted index** — lazily built per ``(attribute, element-code)``
   posting lists of leaf rows, so a combination's covered rows come from
   sorted-array intersections instead of repeated full-table masks.
-* **Warm cloning** — everything that depends only on the leaf *codes*
-  (keys, postings, per-cuboid support/occupancy) survives a label/value
-  refresh.  :class:`~repro.core.delta.DeltaSession` is the one owner that
-  hands an engine from one interval to the next this way.
+* **Warm cloning and patching** — everything that depends only on the
+  leaf *codes* (keys, postings, per-cuboid support/occupancy) survives a
+  label/value refresh, and :meth:`AggregationEngine.patched_clone` carries
+  the cached aggregates across a small label diff as well.
+  :class:`~repro.core.delta.DeltaSession` is the one owner that hands an
+  engine from one interval to the next this way.
+* **One key layout** — row-major strides, disjoint block offsets and
+  occupied-key decoding live here only; the case-stacked batch kernel
+  (:mod:`repro.core.stacked`) and the delta session read shapes, covered
+  rows and stride plans from the engine instead of re-deriving them.
 
 Engines are bound to one :class:`FineGrainedDataset` and shared through
 :func:`engine_for`, a per-dataset cache stored on the dataset itself:
@@ -213,6 +219,11 @@ class AggregationEngine:
         #: sweep revisits the same thresholds, so the threshold probe and
         #: per-cuboid hit split are themselves memoizable.
         self._layer_scans: Dict[tuple, list] = {}
+        #: The last :meth:`patched_clone` stride plan, keyed by its
+        #: cached-cuboid tuple and shared with warm clones: a stream's
+        #: cached set rarely changes between ticks.  One entry, so a long
+        #: stream whose set keeps changing cannot grow it.
+        self._patch_plans: Dict[tuple, tuple] = {}
 
     # -- geometry and keys -----------------------------------------------------
 
@@ -247,6 +258,34 @@ class AggregationEngine:
                     keys += codes[:, indices[position]] * int(strides[position])
             self._keys[indices] = keys
         return keys
+
+    def _stride_plan(
+        self, keys: Sequence[Tuple[int, ...]]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(stride_matrix, offsets, total)`` laying out several cuboids at once.
+
+        Column ``j`` of the stride matrix holds cuboid ``j``'s strides, so
+        one integer matmul of the leaf codes gives every cuboid's linear
+        keys; the offsets shift each cuboid's key space into a disjoint
+        range of ``[0, total)``, so one bincount counts them all.
+        """
+        stride_matrix = np.zeros((len(self._sizes), len(keys)), dtype=np.int64)
+        offsets = np.empty(len(keys), dtype=np.int64)
+        total = 0
+        for j, indices in enumerate(keys):
+            __, strides, capacity = self._geometry(indices)
+            for position, attr in enumerate(indices):
+                stride_matrix[attr, j] = strides[position]
+            offsets[j] = total
+            total += capacity
+        return stride_matrix, offsets, total
+
+    def _group_codes(self, indices: Tuple[int, ...], occupied: np.ndarray) -> np.ndarray:
+        """Element codes, shape (G, d), of a cuboid's occupied linear keys."""
+        if len(indices) == 1:
+            return occupied.reshape(-1, 1)
+        sizes = self._geometry(indices)[0]
+        return np.stack(np.unravel_index(occupied, sizes), axis=1).astype(np.int64)
 
     def linear_keys(self, cuboid: Cuboid) -> Tuple[np.ndarray, int]:
         """Cached ``(keys, capacity)`` of *cuboid* over the leaf rows."""
@@ -289,58 +328,59 @@ class AggregationEngine:
         are left to each aggregate's :class:`LaneSpec`.
         """
         dataset = self.dataset
-        n_blocks = len(cuboids)
-        # Column j of the stride matrix holds cuboid j's strides; one
-        # integer matmul turns it into every cuboid's linear keys at once.
-        stride_matrix = np.zeros((len(self._sizes), n_blocks), dtype=np.int64)
-        offsets = np.empty(n_blocks, dtype=np.int64)
-        metas: List[Tuple[Cuboid, int, int, List[int]]] = []
-        offset = 0
-        for j, cuboid in enumerate(cuboids):
-            indices = cuboid.attribute_indices
-            sizes, strides, capacity = self._geometry(indices)
-            for position, attr in enumerate(indices):
-                stride_matrix[attr, j] = strides[position]
-            offsets[j] = offset
-            metas.append((cuboid, offset, capacity, sizes))
-            offset += capacity
+        keys = [cuboid.attribute_indices for cuboid in cuboids]
+        stride_matrix, offsets, total = self._stride_plan(keys)
         label_rows = self._anomalous_rows()
         support_all, anomalous_all = kernels.fused_batch(
-            dataset.codes, stride_matrix, offsets, offset, label_rows
+            dataset.codes, stride_matrix, offsets, total, label_rows
         )
         if _trace.ACTIVE:
-            obs.inc("engine_batch_cuboids_total", n_blocks)
+            obs.inc("engine_batch_cuboids_total", len(cuboids))
             obs.inc(
                 "engine_bincount_passes_total",
                 2 if label_rows.size else 1,
                 kind="batched",
             )
-        for cuboid, start, capacity, sizes in metas:
-            end = start + capacity
+        for cuboid, indices, start in zip(cuboids, keys, offsets.tolist()):
+            end = start + self._geometry(indices)[2]
             support = support_all[start:end]
             occupied = np.flatnonzero(support)
-            if len(sizes) == 1:
-                codes = occupied.reshape(-1, 1)
-            else:
-                codes = np.stack(np.unravel_index(occupied, sizes), axis=1).astype(
-                    np.int64
-                )
             aggregate = CuboidAggregate(
                 cuboid=cuboid,
                 schema=dataset.schema,
-                codes=codes,
+                codes=self._group_codes(indices, occupied),
                 support=support[occupied].astype(np.int64, copy=False),
                 anomalous_support=anomalous_all[start:end][occupied].astype(
                     np.int64, copy=False
                 ),
-                lanes=self._lanes(cuboid.attribute_indices, occupied),
+                lanes=self._lanes(indices, occupied),
             )
-            key = cuboid.attribute_indices
-            if key not in self._shapes:
-                self._shapes[key] = _CuboidShape(
+            if indices not in self._shapes:
+                self._shapes[indices] = _CuboidShape(
                     occupied=occupied, support=aggregate.support, codes=aggregate.codes
                 )
-            self._aggregates[key] = aggregate
+            self._aggregates[indices] = aggregate
+
+    def shape(self, cuboid: Cuboid) -> _CuboidShape:
+        """Label-free occupancy, support and group codes of *cuboid* (cached).
+
+        One count bincount over the cuboid's cached leaf keys.  Consumers
+        that bring their own labels (the case-stacked batch kernel) read
+        only this, so no anomalous pass runs for the engine's own labels.
+        """
+        indices = cuboid.attribute_indices
+        shape = self._shapes.get(indices)
+        if shape is None:
+            keys, capacity = self.linear_keys(cuboid)
+            support = kernels.count_bincount(keys, capacity)
+            occupied = np.flatnonzero(support)
+            shape = _CuboidShape(
+                occupied=occupied,
+                support=support[occupied].astype(np.int64, copy=False),
+                codes=self._group_codes(indices, occupied),
+            )
+            self._shapes[indices] = shape
+        return shape
 
     def prepare(self, attribute_indices: Sequence[int]) -> None:
         """Prefetch aggregation state for a search over *attribute_indices*.
@@ -567,7 +607,9 @@ class AggregationEngine:
         loop only touches the few groups that become candidates, so a
         direct scan beats materializing posting lists for every attribute
         the search visits.  Results land in the same row cache that
-        :meth:`rows_of` reads.
+        :meth:`rows_of` reads.  Only ``.cuboid`` and ``.codes`` are read,
+        so a :class:`~repro.core.stacked.StackedLayerCuboid` works too:
+        covered rows depend on the codes alone, not on any case's labels.
         """
         indices = aggregate.cuboid.attribute_indices
         codes_row = aggregate.codes[index]
@@ -585,22 +627,6 @@ class AggregationEngine:
         rows = np.flatnonzero(self._keys_for(indices) == target)
         self._rows[key] = rows
         return rows
-
-    def support_count(self, combination: AttributeCombination) -> int:
-        """``support_count_D(ac)`` via the inverted index."""
-        return int(self.rows_of(combination).size)
-
-    def anomalous_count(self, combination: AttributeCombination) -> int:
-        """``support_count_D(ac, Anomaly)`` via the inverted index."""
-        rows = self.rows_of(combination)
-        return int(self.dataset.labels[rows].sum())
-
-    def confidence(self, combination: AttributeCombination) -> float:
-        """Criteria 2 confidence via the inverted index (0.0 on empty support)."""
-        rows = self.rows_of(combination)
-        if rows.size == 0:
-            return 0.0
-        return float(self.dataset.labels[rows].sum()) / rows.size
 
     # -- warm cloning ----------------------------------------------------------
 
@@ -637,7 +663,65 @@ class AggregationEngine:
         clone._postings = self._postings
         clone._shapes = dict(self._shapes)
         clone._rows = self._rows
+        clone._patch_plans = self._patch_plans
         return install_engine(clone)
+
+    def patched_clone(
+        self, dataset: FineGrainedDataset, changed: np.ndarray
+    ) -> Tuple["AggregationEngine", int]:
+        """Warm clone for *dataset* with every cached aggregate carried over.
+
+        *changed* holds the indices of the rows whose ``v``, ``f`` or
+        label differ between this engine's dataset and *dataset*.
+        Anomalous support is patched in exact integer arithmetic from the
+        label flips among them (one :func:`~repro.core.kernels.delta_patch`
+        over every cached cuboid); occupancy, support and group codes are
+        shared by reference, and the ``v``/``f`` lanes are bound to
+        *dataset*'s arrays and computed when read.  Carried counts land on
+        new :class:`CuboidAggregate` objects, so per-aggregate caches (the
+        confidence vector) never leak stale values across ticks.  Returns
+        the clone and the number of aggregates it carried.
+        """
+        clone = self.warm_clone(dataset)
+        keys = tuple(sorted(self._aggregates))
+        if not keys:
+            return clone, 0
+        if changed.size == 0:
+            # Identical tick: every cached aggregate is still exact.
+            clone._aggregates.update(self._aggregates)
+            return clone, len(keys)
+        old_labels = self.dataset.labels[changed]
+        new_labels = dataset.labels[changed]
+        gained = new_labels & ~old_labels
+        lost = old_labels & ~new_labels
+        anomalous_delta = None
+        if gained.any() or lost.any():
+            plan = self._patch_plans.get(keys)
+            if plan is None:
+                plan = self._stride_plan(keys)
+                self._patch_plans.clear()
+                self._patch_plans[keys] = plan
+            stride_matrix, offsets, total = plan
+            anomalous_delta = kernels.delta_patch(
+                dataset.codes[changed], stride_matrix, offsets, total, gained, lost
+            )
+            if _trace.ACTIVE:
+                obs.inc("engine_bincount_passes_total", 2, kind="delta_patch")
+        for j, indices in enumerate(keys):
+            aggregate = self._aggregates[indices]
+            occupied = self._shapes[indices].occupied
+            anomalous = aggregate.anomalous_support
+            if anomalous_delta is not None:
+                anomalous = anomalous + anomalous_delta[offsets[j] + occupied]
+            clone._aggregates[indices] = CuboidAggregate(
+                cuboid=aggregate.cuboid,
+                schema=dataset.schema,
+                codes=aggregate.codes,
+                support=aggregate.support,
+                anomalous_support=anomalous,
+                lanes=clone._lanes(indices, occupied),
+            )
+        return clone, len(keys)
 
 
 class NaiveAggregationEngine(AggregationEngine):
@@ -684,9 +768,6 @@ class NaiveAggregationEngine(AggregationEngine):
     def group_rows(self, aggregate: CuboidAggregate, index: int) -> np.ndarray:
         return self.rows_of(aggregate.combination(index))
 
-    def confidence(self, combination: AttributeCombination) -> float:
-        return self.dataset.confidence(combination)
-
     def warm_clone(self, dataset: FineGrainedDataset) -> "AggregationEngine":
         return NaiveAggregationEngine(dataset)
 
@@ -716,10 +797,6 @@ class CandidateIndex:
         """
         self._buckets.setdefault(spec, set()).add(values)
 
-    def add(self, combination: AttributeCombination) -> None:
-        spec = combination.specified_indices
-        self.add_entry(spec, tuple(combination.values[i] for i in spec))
-
     def has_ancestor_entry(self, spec: frozenset, lookup) -> bool:
         """True when any stored candidate is a strict ancestor.
 
@@ -736,10 +813,3 @@ class CandidateIndex:
             if tuple(lookup(i) for i in bucket_spec) in seen:
                 return True
         return False
-
-    def has_ancestor_of(self, combination: AttributeCombination) -> bool:
-        """True when any stored candidate is a strict ancestor."""
-        values = combination.values
-        return self.has_ancestor_entry(
-            frozenset(combination.specified_indices), lambda i: values[i]
-        )

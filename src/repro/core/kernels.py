@@ -2,12 +2,15 @@
 
 CP (Eq. 1) and Anomaly Confidence read per-group support and
 anomalous-support counts and nothing else, so the hot passes are
-count-only: :func:`fused_batch` counts every cuboid of a layer at once
-and :func:`delta_patch` patches the anomalous counts of a streaming tick.
+count-only: :func:`fused_batch` counts every cuboid of a layer at once,
+:func:`stacked_anomalous` counts every case of a batch at once and
+:func:`delta_patch` patches the anomalous counts of a streaming tick.
 The ``v``/``f`` sums that the Adtributor baseline and derived KPIs read
 are one :func:`weighted_bincount` per lane, run when an aggregate's lane
-is first read.  The serial, stacked and streaming engines get all of
-this from the six functions below, which share one contract:
+is first read.  The serial, stacked and streaming paths get all of
+this from the five functions below, which share one contract (the
+strides and offsets themselves are laid out by
+:class:`~repro.core.engine.AggregationEngine` alone):
 
 * **int64 keys.**  A cuboid's linear key is ``sum(code[a] * stride[a])``
   with row-major strides, in ``[0, capacity)``; ``np.bincount`` promotes
@@ -15,15 +18,14 @@ this from the six functions below, which share one contract:
 * **Disjoint offsets.**  Batched passes shift each block's keys (a
   cuboid's, or a case's) by the summed capacity of the blocks before it.
 * **Row-order float accumulation.**  ``np.bincount`` adds each bucket's
-  weights in input order and blocks are laid out one after another in
-  leaf-row order, so a batched float lane is bitwise equal to a bincount
-  of its block alone.  The stacked and streaming paths' bit-identity to
-  the serial engine rests on this: never reorder a weighted pass.
+  weights in input order, so a lane computed over the leaf rows in
+  ascending order is bitwise what a cold leaf-level pass returns.  Every
+  engine's lanes rest on this: never reorder a weighted pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +36,6 @@ __all__ = [
     "info",
     "stacked_anomalous",
     "stacked_key_dtype",
-    "stacked_weighted",
     "weighted_bincount",
 ]
 
@@ -135,34 +136,6 @@ def stacked_anomalous(
         key_matrix.ravel().astype(dtype, copy=False),
         minlength=n_cases * total_capacity,
     ).reshape(n_cases, total_capacity)
-
-
-def stacked_weighted(
-    keys: np.ndarray,
-    capacity: int,
-    lanes: Sequence[Sequence[np.ndarray]],
-) -> List[np.ndarray]:
-    """Per-lane ``(n_cases, capacity)`` weighted sums, case-major.
-
-    ``lanes`` holds one sequence of per-case weight columns per lane
-    (e.g. ``[v_rows, f_rows]``); concatenation is case-major in
-    leaf-row order, replaying a cold per-case engine's float order.
-    """
-    n_cases = len(lanes[0])
-    stacked_key_dtype(n_cases, capacity)  # overflow guard
-    stacked_keys = (
-        keys[None, :]
-        + (np.arange(n_cases, dtype=np.int64) * capacity)[:, None]
-    ).ravel()
-    minlength = n_cases * capacity
-    return [
-        np.bincount(
-            stacked_keys,
-            weights=np.concatenate(list(weight_rows)),
-            minlength=minlength,
-        ).reshape(n_cases, capacity)
-        for weight_rows in lanes
-    ]
 
 
 def delta_patch(

@@ -478,8 +478,7 @@ def _scan_case_layer(
             pointer += 1
         if not rows:
             continue
-        cuboid = entry.cuboid
-        spec = cuboid.attribute_indices
+        spec = entry.cuboid.attribute_indices
         spec_set = frozenset(spec)
         positions = {attr: pos for pos, attr in enumerate(spec)}
         group_codes = entry.codes
@@ -490,7 +489,7 @@ def _scan_case_layer(
             ):
                 stats.n_criteria3_pruned += 1
                 continue
-            combination = stacked.decode_combination(cuboid, codes_row)
+            combination = stacked.schema.combination(spec, codes_row)
             candidate = RAPCandidate(
                 combination=combination,
                 confidence=float(conf_row[low + row]),
@@ -500,7 +499,7 @@ def _scan_case_layer(
             )
             state.candidates.append(candidate)
             state.index.add_entry(spec, tuple(int(c) for c in codes_row))
-            covered_rows = stacked.group_rows(cuboid, row)
+            covered_rows = stacked.engine.group_rows(entry, row)
             fresh = covered_rows[~state.covered[covered_rows]]
             if fresh.size:
                 state.covered[fresh] = True

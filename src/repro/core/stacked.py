@@ -9,15 +9,17 @@ passes and a Python search loop per case — even though everything that
 depends only on the leaf *codes* is identical across the batch.
 
 :class:`StackedCaseEngine` exploits that sharing.  For a batch of cases
-over one ``(schema, leaf-index)`` layout it stacks the per-case
-``value`` / ``forecast`` / ``anomaly`` columns into ``(n_cases, n_leaves)``
-matrices and computes cuboid aggregates for **all cases at once**:
+over one ``(schema, leaf-index)`` layout it stacks the per-case anomaly
+labels and counts every cuboid's groups for **all cases at once**
+(counts only: the two stages read no ``v``/``f`` sums):
 
-* **Shared geometry** — linear keys, group occupancy, per-group support
-  and group codes depend only on the codes, so they are computed once per
-  batch (through a private :class:`~repro.core.engine.AggregationEngine`,
-  reusing its cached :meth:`~repro.core.engine.AggregationEngine.linear_keys`)
-  and shared by every case.
+* **Shared geometry** — linear keys, group occupancy, per-group support,
+  group codes and covered rows depend only on the codes, so they come
+  once per batch from a private :class:`~repro.core.engine.AggregationEngine`
+  (:meth:`~repro.core.engine.AggregationEngine.shape`,
+  :meth:`~repro.core.engine.AggregationEngine.linear_keys`,
+  :meth:`~repro.core.engine.AggregationEngine.group_rows`) and are shared
+  by every case.
 * **Case-stacked bincount** — per-case anomalous supports of one BFS
   layer come from a single ``np.bincount`` over
   ``case_id * n_groups + linear_key``: each case's key range is disjoint
@@ -25,12 +27,6 @@ matrices and computes cuboid aggregates for **all cases at once**:
   Key construction is overflow-checked and promoted to the smallest safe
   integer dtype (:func:`~repro.core.kernels.stacked_key_dtype`:
   ``uint32`` → ``int64``).
-* **Stacked values** — when a consumer needs ``v``/``f`` sums,
-  :meth:`StackedCaseEngine.aggregates` runs the same case-offset trick
-  with weighted passes; the concatenation is case-major in leaf-row
-  order, so per-bucket float additions happen in exactly the order a
-  cold per-case engine uses — the results are **bitwise identical** to
-  per-case aggregation, not merely close.
 * **Stacked Classification Power** — Algorithm 1's per-attribute counts
   are layer-1 cuboid aggregates (in the serial path too), so one stacked
   pass yields every case's CP inputs; the entropy math is the serial
@@ -51,22 +47,21 @@ delta-patched paths all agree on the integer lanes).
 Memory footprint of one fused pass is bounded: the shared key matrix is
 at most ``_MAX_STACKED_ELEMENTS`` int64 elements and each stacked
 bincount allocates at most ``_MAX_STACKED_BINS`` bins; wider layers and
-larger batches are chunked (chunking never changes results — the integer
-lanes are order-free and the value lanes stay case-major).
+larger batches are chunked (chunking never changes results — integer
+counts are order-free).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .. import obs
-from ..data.dataset import CuboidAggregate, FineGrainedDataset
+from ..data.dataset import FineGrainedDataset
 from ..obs import trace as _trace
 from . import kernels
-from .attribute import AttributeCombination
 from .classification_power import (
     AttributeDeletionResult,
     binary_entropy,
@@ -75,7 +70,7 @@ from .classification_power import (
     partition_attributes,
 )
 from .cuboid import Cuboid
-from .engine import AggregationEngine
+from .engine import AggregationEngine, _CuboidShape
 
 __all__ = [
     "StackedCaseEngine",
@@ -102,7 +97,8 @@ def group_datasets_by_layout(
     Groups preserve first-seen order and each group's member list is in
     input order, so batched results can be scattered back to input
     positions deterministically.  A dataset joins the first group whose
-    schema and codes shape match and whose codes are the same object
+    schema (names *and* element vocabularies: group codes decode through
+    it) and codes shape match and whose codes are the same object
     (consecutive snapshots of one KPI share buffers) or compare equal.
     An ``array_equal`` over a paper-scale table takes ~20 us, where
     hashing each case's codes took ~0.5 ms.
@@ -112,7 +108,7 @@ def group_datasets_by_layout(
     by_key: Dict[tuple, List[int]] = {}
     for index, dataset in enumerate(datasets):
         codes = dataset.codes
-        key = (tuple(dataset.schema.names), tuple(dataset.schema.sizes), codes.shape)
+        key = (dataset.schema, codes.shape)
         candidates = by_key.setdefault(key, [])
         for group_index in candidates:
             rep = reps[group_index].codes
@@ -124,20 +120,6 @@ def group_datasets_by_layout(
             groups.append([index])
             reps.append(dataset)
     return groups
-
-
-@dataclass
-class _SharedShape:
-    """Label-independent per-cuboid geometry, shared by every case."""
-
-    #: Flat linear keys of the occupied groups, ascending.
-    occupied: np.ndarray
-    #: Leaf count per occupied group (int64).
-    support: np.ndarray
-    #: Element codes per occupied group, shape (G, d).
-    codes: np.ndarray
-    #: Linear-key capacity of the cuboid.
-    capacity: int
 
 
 @dataclass
@@ -169,9 +151,6 @@ class StackedCaseEngine:
         :func:`group_datasets_by_layout` to split a mixed collection.
     """
 
-    #: The kernel set of the stacked passes (:mod:`repro.core.kernels`).
-    backend = kernels
-
     def __init__(self, datasets: Sequence[FineGrainedDataset]):
         if not datasets:
             raise ValueError("StackedCaseEngine needs at least one dataset")
@@ -196,10 +175,6 @@ class StackedCaseEngine:
         self._label_rows: List[np.ndarray] = [
             np.flatnonzero(dataset.labels) for dataset in self.datasets
         ]
-        self._shapes: Dict[Tuple[int, ...], _SharedShape] = {}
-        #: Covered-row cache per (cuboid indices, occupied group index),
-        #: shared by every case's coverage bookkeeping.
-        self._rows: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
 
     # -- per-case accessors ----------------------------------------------------
 
@@ -209,67 +184,12 @@ class StackedCaseEngine:
     def n_anomalous(self, slot: int) -> int:
         return int(self._label_rows[slot].size)
 
-    # -- shared geometry -------------------------------------------------------
-
-    def _shape(self, cuboid: Cuboid) -> _SharedShape:
-        """Occupancy, support and group codes of *cuboid* (shared, cached)."""
-        indices = cuboid.attribute_indices
-        shape = self._shapes.get(indices)
-        if shape is None:
-            keys, capacity = self.engine.linear_keys(cuboid)
-            support = kernels.count_bincount(keys, capacity)
-            occupied = np.flatnonzero(support)
-            sizes = [self.schema.size(i) for i in indices]
-            if len(sizes) == 1:
-                codes = occupied.reshape(-1, 1)
-            else:
-                codes = np.stack(np.unravel_index(occupied, sizes), axis=1).astype(
-                    np.int64
-                )
-            shape = _SharedShape(
-                occupied=occupied,
-                support=support[occupied].astype(np.int64, copy=False),
-                codes=codes,
-                capacity=capacity,
-            )
-            self._shapes[indices] = shape
-        return shape
-
-    def group_rows(self, cuboid: Cuboid, group_index: int) -> np.ndarray:
-        """Covered leaf rows of one occupied group (shared across cases).
-
-        Equivalent to ``AggregationEngine.group_rows`` on any case of the
-        batch: membership depends only on the codes, so the rows of a
-        candidate's combination are computed once and reused by every
-        case's coverage update.
-        """
-        indices = cuboid.attribute_indices
-        key = (indices, int(group_index))
-        rows = self._rows.get(key)
-        if rows is None:
-            shape = self._shape(cuboid)
-            keys, __ = self.engine.linear_keys(cuboid)
-            rows = np.flatnonzero(keys == shape.occupied[group_index])
-            self._rows[key] = rows
-        return rows
-
-    def decode_combination(
-        self, cuboid: Cuboid, codes_row: np.ndarray
-    ) -> AttributeCombination:
-        """Decode one occupied group's codes (mirrors ``CuboidAggregate.combination``)."""
-        values: List[Optional[str]] = [None] * self.schema.n_attributes
-        for position, attr_index in enumerate(cuboid.attribute_indices):
-            values[attr_index] = self.schema.decode(
-                attr_index, int(codes_row[position])
-            )
-        return AttributeCombination(values)
-
     # -- fused stacked passes --------------------------------------------------
 
     def _stacked_anomalous(
         self,
         cuboids: Sequence[Cuboid],
-        shapes: Sequence[_SharedShape],
+        shapes: Sequence[_CuboidShape],
         slots: Sequence[int],
     ) -> List[np.ndarray]:
         """Per-cuboid ``(len(slots), G)`` anomalous supports, one fused pass.
@@ -282,11 +202,16 @@ class StackedCaseEngine:
         cannot change the result.
         """
         n_slots = len(slots)
+        key_columns = []
+        capacities = []
         offsets = []
         total_capacity = 0
-        for shape in shapes:
+        for cuboid in cuboids:
+            keys, capacity = self.engine.linear_keys(cuboid)
+            key_columns.append(keys)
+            capacities.append(capacity)
             offsets.append(total_capacity)
-            total_capacity += shape.capacity
+            total_capacity += capacity
         results = [
             np.zeros((n_slots, shape.occupied.size), dtype=np.int64)
             for shape in shapes
@@ -295,7 +220,6 @@ class StackedCaseEngine:
             return results
         # Chunk cases so one pass allocates at most _MAX_STACKED_BINS bins.
         per_chunk = max(1, _MAX_STACKED_BINS // max(1, total_capacity))
-        key_columns = [self.engine.linear_keys(cuboid)[0] for cuboid in cuboids]
         for chunk_start in range(0, n_slots, per_chunk):
             chunk = list(range(chunk_start, min(chunk_start + per_chunk, n_slots)))
             rows_per_case = [self._label_rows[slots[i]] for i in chunk]
@@ -308,7 +232,7 @@ class StackedCaseEngine:
                 key_columns, offsets, total_capacity, rows_cat, lengths
             )
             for j, shape in enumerate(shapes):
-                block = counts[:, offsets[j] : offsets[j] + shape.capacity]
+                block = counts[:, offsets[j] : offsets[j] + capacities[j]]
                 results[j][chunk, :] = block[:, shape.occupied]
         return results
 
@@ -322,7 +246,7 @@ class StackedCaseEngine:
         *slots* come from fused case-stacked bincounts.  Cuboid chunks
         respect the shared key-matrix budget.
         """
-        shapes = [self._shape(cuboid) for cuboid in cuboids]
+        shapes = [self.engine.shape(cuboid) for cuboid in cuboids]
         per_chunk = max(1, _MAX_STACKED_ELEMENTS // max(1, self.n_rows))
         anomalous: List[np.ndarray] = []
         for start in range(0, len(cuboids), per_chunk):
@@ -340,51 +264,6 @@ class StackedCaseEngine:
                 anomalous=counts,
             )
             for cuboid, shape, counts in zip(cuboids, shapes, anomalous)
-        ]
-
-    def aggregates(
-        self, cuboid: Cuboid, slots: Optional[Sequence[int]] = None
-    ) -> List[CuboidAggregate]:
-        """Full per-case aggregates of *cuboid*, including ``v``/``f`` sums.
-
-        The value lanes stack the per-case ``value``/``forecast`` columns
-        with case-offset keys concatenated **case-major in leaf-row
-        order**, so per-bucket float additions replay exactly the order a
-        cold per-case engine uses — the returned aggregates are bitwise
-        identical to ``AggregationEngine.aggregate`` on each case alone.
-        """
-        picked = list(range(self.n_cases)) if slots is None else list(slots)
-        shape = self._shape(cuboid)
-        keys, capacity = self.engine.linear_keys(cuboid)
-        anomalous = self._stacked_anomalous([cuboid], [shape], picked)[0]
-        n_slots = len(picked)
-        v_sums = np.empty((n_slots, shape.occupied.size))
-        f_sums = np.empty((n_slots, shape.occupied.size))
-        # Case-major chunks bounded by the key-matrix budget.
-        per_chunk = max(1, _MAX_STACKED_ELEMENTS // max(1, self.n_rows))
-        for start in range(0, n_slots, per_chunk):
-            chunk = picked[start : start + per_chunk]
-            v_all, f_all = kernels.stacked_weighted(
-                keys,
-                capacity,
-                [
-                    [self.datasets[s].v for s in chunk],
-                    [self.datasets[s].f for s in chunk],
-                ],
-            )
-            v_sums[start : start + len(chunk)] = v_all[:, shape.occupied]
-            f_sums[start : start + len(chunk)] = f_all[:, shape.occupied]
-        return [
-            CuboidAggregate(
-                cuboid=cuboid,
-                schema=self.schema,
-                codes=shape.codes,
-                support=shape.support,
-                anomalous_support=anomalous[i],
-                v_sum=v_sums[i],
-                f_sum=f_sums[i],
-            )
-            for i in range(n_slots)
         ]
 
     # -- Algorithm 1, stacked --------------------------------------------------

@@ -109,10 +109,7 @@ class CuboidAggregate:
 
     def combination(self, index: int) -> AttributeCombination:
         """Decode row *index* into an :class:`AttributeCombination`."""
-        values: List[Optional[str]] = [None] * self.schema.n_attributes
-        for position, attr_index in enumerate(self.cuboid.attribute_indices):
-            values[attr_index] = self.schema.decode(attr_index, int(self.codes[index, position]))
-        return AttributeCombination(values)
+        return self.schema.combination(self.cuboid.attribute_indices, self.codes[index])
 
     def combinations(self) -> List[AttributeCombination]:
         """Decode every row into an :class:`AttributeCombination`."""

@@ -166,6 +166,33 @@ class TestEquivalence:
                     )
         assert 0 < flips < len(ticks) - 1  # both kinds of patched tick ran
 
+    def test_cached_set_grows_between_patched_ticks(self, schema):
+        # Later ticks search more attributes, so each patch runs over a
+        # larger cached-cuboid set than the stride plan built before it.
+        from repro.core.engine import AggregationEngine
+        from repro.core.search import layerwise_topdown_search
+
+        ticks = make_flipping_ticks(schema, 6)
+        searched = [(0,), (0, 1), (0, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2)]
+        session = DeltaSession(DeltaConfig(crossover=0.5))
+        carried = []
+        for tick_data, indices in zip(ticks, searched):
+            tick = session.begin_tick(tick_data)
+            if tick.path == "patched":
+                carried.append(tick.patched_cuboids)
+            layerwise_topdown_search(
+                tick_data, indices, early_stop=False, engine=tick.engine
+            )
+            cold = AggregationEngine(tick_data)
+            for aggregate in tick.engine._aggregates.values():
+                want = cold.aggregate(aggregate.cuboid)
+                np.testing.assert_array_equal(aggregate.codes, want.codes)
+                np.testing.assert_array_equal(aggregate.support, want.support)
+                np.testing.assert_array_equal(
+                    aggregate.anomalous_support, want.anomalous_support
+                )
+        assert carried == [1, 3, 3, 7, 7]
+
 
 def make_flipping_ticks(schema, n_ticks):
     """Ticks of one incident where every other tick flips some labels."""

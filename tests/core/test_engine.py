@@ -159,13 +159,6 @@ class TestInvertedIndex:
         for combination in combos:
             expected = np.flatnonzero(dataset.mask_of(combination))
             np.testing.assert_array_equal(engine.rows_of(combination), expected)
-            assert engine.support_count(combination) == dataset.support_count(combination)
-            assert engine.anomalous_count(combination) == dataset.anomalous_support_count(
-                combination
-            )
-            assert engine.confidence(combination) == pytest.approx(
-                dataset.confidence(combination)
-            )
 
     def test_group_rows_matches_rows_of(self):
         dataset = _random_dataset((3, 2, 3), 9, sparse=True)
@@ -184,7 +177,6 @@ class TestInvertedIndex:
         engine = AggregationEngine(dataset)
         missing = AttributeCombination([tiny_schema.decode(0, 1), None])
         assert engine.rows_of(missing).size == 0
-        assert engine.confidence(missing) == 0.0
 
 
 class TestWarmClone:
@@ -292,15 +284,27 @@ class TestCandidateIndex:
         ]
         index = CandidateIndex()
         for combination in stored:
-            index.add(combination)
+            _add(index, combination)
         assert len(index) == 2
         for combination in combos:
             expected = any(s.is_ancestor_of(combination) for s in stored)
-            assert index.has_ancestor_of(combination) == expected
+            assert _has_ancestor(index, combination) == expected
 
     def test_same_layer_never_matches(self):
         index = CandidateIndex()
         combo = AttributeCombination.parse("(a1, *, *)")
-        index.add(combo)
-        assert not index.has_ancestor_of(combo)
-        assert not index.has_ancestor_of(AttributeCombination.parse("(a2, *, *)"))
+        _add(index, combo)
+        assert not _has_ancestor(index, combo)
+        assert not _has_ancestor(index, AttributeCombination.parse("(a2, *, *)"))
+
+
+def _add(index, combination):
+    spec = combination.specified_indices
+    index.add_entry(spec, tuple(combination.values[i] for i in spec))
+
+
+def _has_ancestor(index, combination):
+    values = combination.values
+    return index.has_ancestor_entry(
+        frozenset(combination.specified_indices), lambda i: values[i]
+    )

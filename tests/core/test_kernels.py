@@ -4,9 +4,8 @@ Each kernel folds many cuboids (or many cases) into one pass.  The
 reference here does the plain thing instead: one ``np.bincount`` per
 cuboid and per case, over keys built attribute by attribute, in leaf-row
 order.  The kernels must match it bit for bit — float lanes are compared
-through ``view(np.int64)`` — because the stacked and streaming paths rely
-on the batched passes adding every bucket in the same order as a
-per-cuboid pass.
+through ``view(np.int64)`` — because every path relies on a lane adding
+each bucket in leaf-row order, as a per-cuboid pass does.
 """
 
 from __future__ import annotations
@@ -157,27 +156,6 @@ def test_stacked_anomalous(table, label_ps):
         [reference_lanes(codes, sizes, cuboids, rows=rows) for rows in per_case]
     )
     assert_bitwise(got, want)
-
-
-@given(tables(), st.integers(1, 5))
-@settings(max_examples=60, deadline=None)
-def test_stacked_weighted(table, n_cases):
-    sizes, codes, cuboids, rng = table
-    keys, capacity = linear_keys(codes, sizes, cuboids[0])
-    lanes = [
-        [spread_floats(rng, keys.size) for _ in range(n_cases)]
-        for _ in range(2)
-    ]
-    got = kernels.stacked_weighted(keys, capacity, lanes)
-    assert len(got) == len(lanes)
-    for lane_out, lane_in in zip(got, lanes):
-        want = np.stack(
-            [
-                np.bincount(keys, weights=weights, minlength=capacity)
-                for weights in lane_in
-            ]
-        )
-        assert_bitwise(lane_out, want)
 
 
 @given(tables(), st.floats(0.0, 1.0))

@@ -1,9 +1,9 @@
 """Tests for the case-stacked batch kernel (``core/stacked.py``).
 
 The contract under test is *bitwise* serial equivalence: every stacked
-result — aggregates including float value lanes, CP values, kept/deleted
-attribute sets, search candidates, stats and stop reasons — must equal
-the per-case serial path exactly, not approximately.
+result — per-case layer counts, CP values, kept/deleted attribute sets,
+search candidates, stats and stop reasons — must equal the per-case
+serial path exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.core import (
     layerwise_topdown_search,
     stacked_key_dtype,
 )
+from repro.core.attribute import AttributeSchema
 from repro.core.cuboid import enumerate_cuboids
 from repro.core.engine import AggregationEngine
 from repro.data.dataset import FineGrainedDataset
@@ -85,6 +86,27 @@ class TestLayoutGrouping:
         b = make_datasets(1, sizes=(5, 3, 2, 2))
         assert group_datasets_by_layout([b[0], a[0]]) == [[0], [1]]
 
+    def test_same_shape_different_elements_split(self):
+        # Equal names, sizes and codes: only the element vocabularies
+        # differ, and group codes decode through them.
+        def case(prefix):
+            schema = AttributeSchema(
+                {"A": [f"{prefix}{i}" for i in range(3)], "B": ["b0", "b1"]}
+            )
+            codes = np.array([[a, b] for a in range(3) for b in range(2)])
+            v = np.full(6, 10.0)
+            return FineGrainedDataset(schema, codes, v, v, codes[:, 0] == 0)
+
+        a, b = case("a"), case("x")
+        assert group_datasets_by_layout([a, b]) == [[0], [1]]
+        miner = RAPMiner()
+        batch = miner.run_batch([a, b])
+        assert [r.patterns for r in batch] == [
+            miner.run(a).patterns,
+            miner.run(b).patterns,
+        ]
+        assert [str(r.patterns[0]) for r in batch] == ["(a0, *)", "(x0, *)"]
+
 
 class TestStackedEngineValidation:
     def test_requires_datasets(self):
@@ -114,27 +136,24 @@ class TestStackedAggregates:
     def test_bitwise_equal_to_cold_engine_every_cuboid(self):
         datasets = make_datasets(4)
         stacked = StackedCaseEngine(datasets)
-        for cuboid in enumerate_cuboids(stacked.schema.n_attributes):
-            per_case = stacked.aggregates(cuboid)
+        cuboids = list(enumerate_cuboids(stacked.schema.n_attributes))
+        layer = stacked.layer_counts(cuboids, range(len(datasets)))
+        for cuboid, entry in zip(cuboids, layer):
+            assert entry.cuboid == cuboid
             for slot, dataset in enumerate(datasets):
                 ref = AggregationEngine(dataset).aggregate(cuboid)
-                got = per_case[slot]
-                assert np.array_equal(ref.codes, got.codes)
-                assert np.array_equal(ref.support, got.support)
-                assert np.array_equal(ref.anomalous_support, got.anomalous_support)
-                # Float lanes must be *bitwise* equal: the stacked pass
-                # replays the per-bucket addition order of a cold engine.
-                assert np.array_equal(ref.v_sum, got.v_sum)
-                assert np.array_equal(ref.f_sum, got.f_sum)
+                assert np.array_equal(ref.codes, entry.codes)
+                assert np.array_equal(ref.support, entry.support)
+                assert np.array_equal(ref.anomalous_support, entry.anomalous[slot])
 
     def test_slot_subset_selects_cases(self):
         datasets = make_datasets(3)
         stacked = StackedCaseEngine(datasets)
-        cuboid = next(iter(enumerate_cuboids(stacked.schema.n_attributes)))
-        subset = stacked.aggregates(cuboid, slots=[2, 0])
-        full = stacked.aggregates(cuboid)
-        assert np.array_equal(subset[0].anomalous_support, full[2].anomalous_support)
-        assert np.array_equal(subset[1].anomalous_support, full[0].anomalous_support)
+        cuboids = [next(iter(enumerate_cuboids(stacked.schema.n_attributes)))]
+        (subset,) = stacked.layer_counts(cuboids, [2, 0])
+        (full,) = stacked.layer_counts(cuboids, [0, 1, 2])
+        assert np.array_equal(subset.anomalous[0], full.anomalous[2])
+        assert np.array_equal(subset.anomalous[1], full.anomalous[0])
 
     def test_private_engine_stays_out_of_registry(self):
         from repro.core.engine import engine_for
