@@ -46,7 +46,7 @@ from .search import (
 from .kernels import stacked_key_dtype
 from .stacked import (
     StackedCaseEngine,
-    StackedLayerCuboid,
+    StackedLayer,
     group_datasets_by_layout,
 )
 
@@ -97,7 +97,7 @@ __all__ = [
     "batched_layerwise_topdown_search",
     "layerwise_topdown_search",
     "StackedCaseEngine",
-    "StackedLayerCuboid",
+    "StackedLayer",
     "group_datasets_by_layout",
     "stacked_key_dtype",
     "partition_attributes",

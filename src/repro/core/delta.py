@@ -13,7 +13,7 @@ every tick even when only a small fraction of leaves changed.  A
   :meth:`~repro.core.engine.AggregationEngine.patched_clone`.  Occupancy,
   support and group codes are label-independent and shared by reference.
   Anomalous support moves only where a label flipped: the flipped rows'
-  linear keys for *all* cached cuboids come from one integer matmul over
+  linear keys for *all* cached cuboids come from one block-key fill over
   the engine's stride plan (the layout its cold batched pass uses), and
   two bincounts over them give the dense per-group delta, applied in
   **exact integer** arithmetic.  A tick without label flips runs no kernel

@@ -39,7 +39,9 @@ scan per combination.  :class:`AggregationEngine` shares that work:
 * **One key layout** — row-major strides, disjoint block offsets and
   occupied-key decoding live here only; the case-stacked batch kernel
   (:mod:`repro.core.stacked`) and the delta session read shapes, covered
-  rows and stride plans from the engine instead of re-deriving them.
+  rows, single-key decodes and stride plans from the engine instead of
+  re-deriving them.  A cuboid's leaf keys are built from its cached
+  parent's, and a shape decodes its group codes only when read.
 
 Engines are bound to one :class:`FineGrainedDataset` and shared through
 :func:`engine_for`, a per-dataset cache stored on the dataset itself:
@@ -123,16 +125,43 @@ def release_engine(engine: "AggregationEngine") -> None:
         delattr(engine.dataset, _ENGINE_ATTR)
 
 
-@dataclass
-class _CuboidShape:
-    """Label-independent part of a cuboid aggregate (reused by warm clones)."""
+def _decode_keys(occupied: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Element codes, shape (G, d), of a cuboid's occupied row-major keys."""
+    if len(sizes) == 1:
+        return occupied.reshape(-1, 1)
+    return np.stack(np.unravel_index(occupied, sizes), axis=1).astype(np.int64)
 
-    #: Flat linear keys of the occupied groups, ascending.
-    occupied: np.ndarray
-    #: Leaf count per occupied group.
-    support: np.ndarray
-    #: Element codes per occupied group, shape (G, d).
-    codes: np.ndarray
+
+class _CuboidShape:
+    """Label-independent part of a cuboid aggregate (reused by warm clones).
+
+    ``codes`` is decoded from ``occupied`` on its first read: the stacked
+    search reads group codes at its few confident rows only, and decodes
+    those one key at a time (:meth:`AggregationEngine.key_codes`).
+    """
+
+    __slots__ = ("occupied", "support", "_sizes", "_codes")
+
+    def __init__(
+        self,
+        occupied: np.ndarray,
+        support: np.ndarray,
+        sizes: Sequence[int],
+        codes: Optional[np.ndarray] = None,
+    ):
+        #: Flat linear keys of the occupied groups, ascending.
+        self.occupied = occupied
+        #: Leaf count per occupied group.
+        self.support = support
+        self._sizes = sizes
+        self._codes = codes
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Element codes per occupied group, shape (G, d)."""
+        if self._codes is None:
+            self._codes = _decode_keys(self.occupied, self._sizes)
+        return self._codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,16 +275,16 @@ class AggregationEngine:
     def _keys_for(self, indices: Tuple[int, ...]) -> np.ndarray:
         keys = self._keys.get(indices)
         if keys is None:
-            codes = self.dataset.codes
             if len(indices) == 1:
                 # Contiguous copy: np.bincount copies a strided column
                 # view on every call, and these keys feed many passes.
-                keys = np.ascontiguousarray(codes[:, indices[0]])
+                keys = np.ascontiguousarray(self.dataset.codes[:, indices[0]])
             else:
-                __, strides, __ = self._geometry(indices)
-                keys = codes[:, indices[0]] * int(strides[0])
-                for position in range(1, len(indices)):
-                    keys += codes[:, indices[position]] * int(strides[position])
+                # Row-major: the key is the parent cuboid's key (the last
+                # attribute dropped) times that attribute's size plus its
+                # code, so a BFS builds each layer from the cached one above.
+                keys = self._keys_for(indices[:-1]) * self._sizes[indices[-1]]
+                keys += self._keys_for(indices[-1:])
             self._keys[indices] = keys
         return keys
 
@@ -265,9 +294,9 @@ class AggregationEngine:
         """``(stride_matrix, offsets, total)`` laying out several cuboids at once.
 
         Column ``j`` of the stride matrix holds cuboid ``j``'s strides, so
-        one integer matmul of the leaf codes gives every cuboid's linear
-        keys; the offsets shift each cuboid's key space into a disjoint
-        range of ``[0, total)``, so one bincount counts them all.
+        :func:`~repro.core.kernels.block_keys` gives every cuboid's linear
+        keys at once; the offsets shift each cuboid's key space into a
+        disjoint range of ``[0, total)``, so one bincount counts them all.
         """
         stride_matrix = np.zeros((len(self._sizes), len(keys)), dtype=np.int64)
         offsets = np.empty(len(keys), dtype=np.int64)
@@ -280,12 +309,18 @@ class AggregationEngine:
             total += capacity
         return stride_matrix, offsets, total
 
-    def _group_codes(self, indices: Tuple[int, ...], occupied: np.ndarray) -> np.ndarray:
-        """Element codes, shape (G, d), of a cuboid's occupied linear keys."""
-        if len(indices) == 1:
-            return occupied.reshape(-1, 1)
+    def key_codes(self, indices: Tuple[int, ...], key: int) -> Tuple[int, ...]:
+        """Element codes of one occupied linear key of the cuboid over *indices*.
+
+        The one-group inverse of the row-major layout, for readers that
+        need a few groups of a cuboid and not its whole ``codes`` matrix.
+        """
         sizes = self._geometry(indices)[0]
-        return np.stack(np.unravel_index(occupied, sizes), axis=1).astype(np.int64)
+        codes = [0] * len(sizes)
+        for position in range(len(sizes) - 1, 0, -1):
+            key, codes[position] = divmod(key, sizes[position])
+        codes[0] = key
+        return tuple(codes)
 
     def linear_keys(self, cuboid: Cuboid) -> Tuple[np.ndarray, int]:
         """Cached ``(keys, capacity)`` of *cuboid* over the leaf rows."""
@@ -345,10 +380,11 @@ class AggregationEngine:
             end = start + self._geometry(indices)[2]
             support = support_all[start:end]
             occupied = np.flatnonzero(support)
+            sizes = self._geometry(indices)[0]
             aggregate = CuboidAggregate(
                 cuboid=cuboid,
                 schema=dataset.schema,
-                codes=self._group_codes(indices, occupied),
+                codes=_decode_keys(occupied, sizes),
                 support=support[occupied].astype(np.int64, copy=False),
                 anomalous_support=anomalous_all[start:end][occupied].astype(
                     np.int64, copy=False
@@ -357,16 +393,17 @@ class AggregationEngine:
             )
             if indices not in self._shapes:
                 self._shapes[indices] = _CuboidShape(
-                    occupied=occupied, support=aggregate.support, codes=aggregate.codes
+                    occupied, aggregate.support, sizes, aggregate.codes
                 )
             self._aggregates[indices] = aggregate
 
     def shape(self, cuboid: Cuboid) -> _CuboidShape:
         """Label-free occupancy, support and group codes of *cuboid* (cached).
 
-        One count bincount over the cuboid's cached leaf keys.  Consumers
-        that bring their own labels (the case-stacked batch kernel) read
-        only this, so no anomalous pass runs for the engine's own labels.
+        One count bincount over the cuboid's cached leaf keys; the group
+        codes are decoded only if read.  Consumers that bring their own
+        labels (the case-stacked batch kernel) read only this, so no
+        anomalous pass runs for the engine's own labels.
         """
         indices = cuboid.attribute_indices
         shape = self._shapes.get(indices)
@@ -375,9 +412,9 @@ class AggregationEngine:
             support = kernels.count_bincount(keys, capacity)
             occupied = np.flatnonzero(support)
             shape = _CuboidShape(
-                occupied=occupied,
-                support=support[occupied].astype(np.int64, copy=False),
-                codes=self._group_codes(indices, occupied),
+                occupied,
+                support[occupied].astype(np.int64, copy=False),
+                self._geometry(indices)[0],
             )
             self._shapes[indices] = shape
         return shape
@@ -387,7 +424,7 @@ class AggregationEngine:
 
         Small lattices (at most :attr:`_MAX_PREFETCH_CUBOIDS` cuboids
         within the batch element budget) are aggregated in one batched
-        pass — a single key matmul plus two bincounts covers every
+        pass — a single key fill plus two bincounts covers every
         cuboid the search can visit, which beats per-layer passes when
         the per-call ``numpy`` overhead dominates the per-row work.
         Wider attribute sets are left to :meth:`layer_aggregates`.
@@ -602,30 +639,35 @@ class AggregationEngine:
         """Covered leaf rows of one aggregate group, by integer codes.
 
         Equivalent to ``rows_of(aggregate.combination(index))`` without
-        the code -> name -> code round trip.  Membership is one equality
-        scan over the cuboid's cached linear keys: the search's coverage
-        loop only touches the few groups that become candidates, so a
-        direct scan beats materializing posting lists for every attribute
-        the search visits.  Results land in the same row cache that
-        :meth:`rows_of` reads.  Only ``.cuboid`` and ``.codes`` are read,
-        so a :class:`~repro.core.stacked.StackedLayerCuboid` works too:
-        covered rows depend on the codes alone, not on any case's labels.
+        the code -> name -> code round trip (see :meth:`key_rows`).
         """
         indices = aggregate.cuboid.attribute_indices
-        codes_row = aggregate.codes[index]
+        codes = tuple(int(code) for code in aggregate.codes[index])
+        __, strides, __ = self._geometry(indices)
+        key = sum(code * stride for code, stride in zip(codes, strides))
+        return self.key_rows(indices, codes, key)
+
+    def key_rows(
+        self, indices: Tuple[int, ...], codes: Tuple[int, ...], key: int
+    ) -> np.ndarray:
+        """Covered leaf rows of the group with element *codes* and linear *key*.
+
+        Membership is one equality scan over the cuboid's cached linear
+        keys: the search's coverage loop only touches the few groups that
+        become candidates, so a direct scan beats materializing posting
+        lists for every attribute the search visits.  Results land in the
+        same row cache that :meth:`rows_of` reads; covered rows depend on
+        the codes alone, not on any case's labels.
+        """
         encoded = [-1] * len(self._sizes)
-        for position, attr_index in enumerate(indices):
-            encoded[attr_index] = int(codes_row[position])
-        key = tuple(encoded)
-        cached = self._rows.get(key)
+        for attr_index, code in zip(indices, codes):
+            encoded[attr_index] = code
+        cache_key = tuple(encoded)
+        cached = self._rows.get(cache_key)
         if cached is not None:
             return cached
-        __, strides, __ = self._geometry(indices)
-        target = 0
-        for position, stride in enumerate(strides):
-            target += int(codes_row[position]) * stride
-        rows = np.flatnonzero(self._keys_for(indices) == target)
-        self._rows[key] = rows
+        rows = np.flatnonzero(self._keys_for(indices) == key)
+        self._rows[cache_key] = rows
         return rows
 
     # -- warm cloning ----------------------------------------------------------

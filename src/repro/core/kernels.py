@@ -8,7 +8,7 @@ count-only: :func:`fused_batch` counts every cuboid of a layer at once,
 The ``v``/``f`` sums that the Adtributor baseline and derived KPIs read
 are one :func:`weighted_bincount` per lane, run when an aggregate's lane
 is first read.  The serial, stacked and streaming paths get all of
-this from the five functions below, which share one contract (the
+this from the six functions below, which share one contract (the
 strides and offsets themselves are laid out by
 :class:`~repro.core.engine.AggregationEngine` alone):
 
@@ -30,6 +30,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "block_keys",
     "count_bincount",
     "delta_patch",
     "fused_batch",
@@ -67,6 +68,30 @@ def stacked_key_dtype(n_slots: int, capacity: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def block_keys(
+    codes: np.ndarray, stride_matrix: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Every block's shifted linear keys, shape ``(n_blocks, n_rows)``, int64.
+
+    Row ``j`` is ``codes @ stride_matrix[:, j] + offsets[j]``.  The rows
+    are filled one block at a time over contiguous code columns, reading
+    only the columns a block specifies, instead of an integer matmul plus
+    a transposed copy.  Integer arithmetic, so the keys are exactly the
+    matmul's.
+    """
+    n_blocks = stride_matrix.shape[1]
+    keys = np.empty((n_blocks, codes.shape[0]), dtype=np.int64)
+    columns = np.ascontiguousarray(codes.T, dtype=np.int64)
+    for row, strides, offset in zip(keys, stride_matrix.T.tolist(), offsets.tolist()):
+        row.fill(offset)
+        for column, stride in zip(columns, strides):
+            if stride == 1:
+                row += column
+            elif stride:
+                row += column * stride
+    return keys
+
+
 def fused_batch(
     codes: np.ndarray,
     stride_matrix: np.ndarray,
@@ -80,16 +105,10 @@ def fused_batch(
     holding cuboid ``j``'s strides; ``offsets`` shifts each cuboid's
     key range to be disjoint; ``total`` is the summed capacity.
     """
-    n_blocks = stride_matrix.shape[1]
-    combined = (codes @ stride_matrix + offsets).T.ravel()
-    support = np.bincount(combined, minlength=total)
+    keys = block_keys(codes, stride_matrix, offsets)
+    support = np.bincount(keys.ravel(), minlength=total)
     if label_rows.size:
-        anomalous_keys = (
-            combined[label_rows]
-            if n_blocks == 1
-            else combined.reshape(n_blocks, -1)[:, label_rows].ravel()
-        )
-        anomalous = np.bincount(anomalous_keys, minlength=total)
+        anomalous = np.bincount(keys[:, label_rows].ravel(), minlength=total)
     else:
         anomalous = np.zeros(total, dtype=np.int64)
     return support, anomalous
@@ -153,6 +172,6 @@ def delta_patch(
     anomalous and normal.  Only label flips move a count, so a tick
     without any needs no call at all.
     """
-    gain = (codes[gained] @ stride_matrix + offsets).ravel()
-    loss = (codes[lost] @ stride_matrix + offsets).ravel()
+    gain = block_keys(codes[gained], stride_matrix, offsets).ravel()
+    loss = block_keys(codes[lost], stride_matrix, offsets).ravel()
     return np.bincount(gain, minlength=total) - np.bincount(loss, minlength=total)

@@ -11,7 +11,7 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .. import obs
 from ..data.dataset import FineGrainedDataset
@@ -207,10 +207,13 @@ class RAPMiner:
         and localized together through a
         :class:`~repro.core.stacked.StackedCaseEngine`: Algorithm 1's CP
         bincounts, each BFS layer's aggregation and the Criteria-2
-        threshold probe run once per group instead of once per case,
-        while per-case control flow (attribute deletion outcomes,
-        Criteria-3 pruning, coverage early stop, ranking) replays the
-        serial semantics exactly.  The returned results — candidates,
+        threshold probe run once per group instead of once per case.
+        Cases keep different attribute sets after Algorithm 1, and one
+        search walks the union of the group's kept sets, each case over
+        its own cuboids of each layer; layer 1 reuses the CP pass.
+        Per-case control flow (attribute deletion outcomes, Criteria-3
+        pruning, coverage early stop, each case's own depth, ranking)
+        replays the serial semantics exactly.  The returned results — candidates,
         scores, stats and stop reasons — are bit-identical to calling
         :meth:`run` on every dataset individually, in input order.
 
@@ -245,47 +248,34 @@ class RAPMiner:
                 obs.inc("stacked_groups_total", len(groups))
                 obs.inc("stacked_batch_cases_total", len(datasets))
             for group in groups:
-                stacked = StackedCaseEngine([datasets[i] for i in group])
+                stacked = StackedCaseEngine(
+                    [datasets[i] for i in group], _same_layout=True
+                )
                 if cfg.enable_attribute_deletion:
                     deletions: List[Optional[AttributeDeletionResult]] = list(
                         stacked.attribute_deletions(cfg.t_cp)
                     )
+                    kept = [deletion.kept_indices for deletion in deletions]
                 else:
                     deletions = [None] * len(group)
-                # Cases diverge after stage 1: sub-batch by the surviving
-                # attribute set so each fused search shares one lattice.
-                subgroups: Dict[Tuple[int, ...], List[int]] = {}
-                for slot, case_index in enumerate(group):
-                    if datasets[case_index].n_anomalous == 0:
-                        results[case_index] = LocalizationResult(
-                            candidates=[],
-                            deletion=deletions[slot],
-                            stats=SearchStats(stop_reason="no_anomalous_leaves"),
-                        )
-                        continue
-                    if deletions[slot] is not None:
-                        kept = deletions[slot].kept_indices
-                    else:
-                        kept = tuple(range(stacked.schema.n_attributes))
-                    subgroups.setdefault(
-                        tuple(sorted(set(kept))), []
-                    ).append(slot)
-                for kept_indices, slots in subgroups.items():
-                    outcomes = batched_layerwise_topdown_search(
-                        stacked,
-                        slots,
-                        kept_indices,
-                        t_conf=cfg.t_conf,
-                        early_stop=cfg.early_stop,
-                        max_layer=cfg.max_layer,
-                        budget=budget,
+                    kept = [tuple(range(stacked.schema.n_attributes))] * len(group)
+                # Cases diverge after stage 1: each searches its own kept
+                # set, and one search walks the union lattice for all.
+                outcomes = batched_layerwise_topdown_search(
+                    stacked,
+                    range(len(group)),
+                    kept,
+                    t_conf=cfg.t_conf,
+                    early_stop=cfg.early_stop,
+                    max_layer=cfg.max_layer,
+                    budget=budget,
+                )
+                for case_index, deletion, outcome in zip(group, deletions, outcomes):
+                    results[case_index] = LocalizationResult(
+                        candidates=self._rank(outcome.candidates, k),
+                        deletion=deletion,
+                        stats=outcome.stats,
                     )
-                    for slot, outcome in zip(slots, outcomes):
-                        results[group[slot]] = LocalizationResult(
-                            candidates=self._rank(outcome.candidates, k),
-                            deletion=deletions[slot],
-                            stats=outcome.stats,
-                        )
             run_span.set(n_cases=len(datasets), outcome="localized")
         return results
 

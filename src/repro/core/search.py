@@ -23,6 +23,7 @@ engine's inverted index instead of full-table masks.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -277,6 +278,9 @@ class _CaseSearchState:
     """Per-case mutable state of one batched search (mirrors the serial loop)."""
 
     slot: int
+    #: The case's own attribute set (sorted) and BFS depth.
+    indices: Tuple[int, ...]
+    depth: int
     n_anomalous: int
     labels: np.ndarray
     covered: np.ndarray
@@ -285,6 +289,13 @@ class _CaseSearchState:
     index: CandidateIndex = field(default_factory=CandidateIndex)
     n_covered_anomalous: int = 0
     outcome: Optional[SearchOutcome] = None
+
+    @property
+    def tail_reason(self) -> str:
+        """The serial stop reason of a search that ran all its layers."""
+        if self.depth < len(self.indices):
+            return "max_layer_reached"
+        return "lattice_exhausted"
 
     def finish(self, stop_reason: str, traced: bool) -> None:
         self.stats.n_candidates = len(self.candidates)
@@ -302,7 +313,7 @@ class _CaseSearchState:
 def batched_layerwise_topdown_search(
     stacked,
     slots: Sequence[int],
-    attribute_indices: Sequence[int],
+    attribute_sets: Sequence[Sequence[int]],
     t_conf: float = 0.8,
     early_stop: bool = True,
     max_layer: Optional[int] = None,
@@ -311,24 +322,34 @@ def batched_layerwise_topdown_search(
     """Algorithm 2 for a batch of cases sharing a leaf layout, layers fused.
 
     Runs the exact serial search semantics for every case slot of a
-    :class:`~repro.core.stacked.StackedCaseEngine` at once: each BFS
-    layer's anomalous supports for all still-active cases come from one
-    case-stacked bincount pass, the layer's Criteria-2 threshold is a
-    single 2-D comparison over the ``(active cases, layer groups)``
-    confidence matrix, and only the (few) confident combinations reach
-    the per-case Python loop — candidate construction, Criteria-3
-    pruning, coverage and the early stop, replayed in the serial visit
-    order.  Cases diverge naturally through the active mask: an
-    early-stopped case simply drops out of later fused passes.
+    :class:`~repro.core.stacked.StackedCaseEngine` at once, each over its
+    own attribute set K (Algorithm 1's kept set).  A case's lattice over
+    K is the union lattice restricted to subsets of K, cuboid order
+    included, so one search walks the union lattice for the whole batch:
+
+    * layer ``l`` counts, in one case-stacked bincount pass, the union
+      cuboids that some still-active case needs (layer 1 is read from
+      stacked CP's pass when it ran);
+    * the layer's Criteria-2 threshold is a single 2-D comparison over
+      the ``(active cases, layer groups)`` confidence matrix;
+    * each case then scans only its own cuboids, ``_layer_cuboids(K, l)``
+      in the serial order, and only their (few) confident combinations
+      reach the per-case Python loop — candidate construction,
+      Criteria-3 pruning, coverage and the early stop.  Its stats count
+      only those cuboids.
+
+    A case ends at its own depth, ``min(max_layer, |K|)``, with its own
+    stop reason, and an early-stopped case drops out of later passes.
 
     Parameters
     ----------
     stacked:
         The batch's :class:`~repro.core.stacked.StackedCaseEngine`.
     slots:
-        Case slots of *stacked* to search (all sharing *attribute_indices*,
-        e.g. one Algorithm 1 subgroup).
-    attribute_indices, t_conf, early_stop, max_layer, budget:
+        Case slots of *stacked* to search.
+    attribute_sets:
+        One attribute set per slot, in *slots* order (schema indices).
+    t_conf, early_stop, max_layer, budget:
         As in :func:`layerwise_topdown_search`.  The budget is shared by
         the whole batch and checked once per fused layer: expiry finishes
         every still-active case with ``stop_reason="deadline"`` while
@@ -342,15 +363,19 @@ def batched_layerwise_topdown_search(
     """
     if not 0.0 < t_conf < 1.0:
         raise ValueError("t_conf must lie in (0, 1)")
-    indices = sorted(set(int(i) for i in attribute_indices))
-    if not indices:
-        raise ValueError("search needs at least one attribute")
+    if len(attribute_sets) != len(slots):
+        raise ValueError("need one attribute set per slot")
 
     traced = _trace.ACTIVE
     states: List[_CaseSearchState] = []
-    for slot in slots:
+    for slot, attribute_indices in zip(slots, attribute_sets):
+        indices = tuple(sorted(set(int(i) for i in attribute_indices)))
+        if not indices:
+            raise ValueError("search needs at least one attribute")
         state = _CaseSearchState(
             slot=slot,
+            indices=indices,
+            depth=len(indices) if max_layer is None else min(max_layer, len(indices)),
             n_anomalous=stacked.n_anomalous(slot),
             labels=stacked.labels(slot),
             covered=np.zeros(stacked.n_rows, dtype=bool),
@@ -359,21 +384,34 @@ def batched_layerwise_topdown_search(
             state.finish("no_anomalous_leaves", traced=False)
         states.append(state)
 
-    active = [i for i, state in enumerate(states) if state.outcome is None]
-    depth = len(indices) if max_layer is None else min(max_layer, len(indices))
-    index_tuple = tuple(indices)
-
-    deadline_hit = False
-    for layer in range(1, depth + 1):
+    active = [state for state in states if state.outcome is None]
+    union = tuple(sorted(set().union(*(state.indices for state in active))))
+    engine = stacked.engine
+    layer = 0
+    while True:
+        layer += 1
+        # A case whose own lattice ended finishes now, before the budget
+        # check of a layer it does not have (as its serial run would).
+        for state in active:
+            if state.depth < layer:
+                state.finish(state.tail_reason, traced)
+        active = [state for state in active if state.outcome is None]
         if not active:
             break
         # Same cooperative layer-boundary contract as the serial path: an
         # expired budget leaves every active case with complete layers only.
         if budget is not None and budget.expired():
-            deadline_hit = True
+            for state in active:
+                state.finish("deadline", traced)
+            if traced:
+                obs.inc(
+                    "resilience_deadline_exceeded_total", len(active), path="stacked"
+                )
             break
-        cuboids = _layer_cuboids(index_tuple, layer)
-        active_slots = [states[i].slot for i in active]
+        own = [_layer_cuboids(state.indices, layer) for state in active]
+        needed = set().union(*own)
+        cuboids = [c for c in _layer_cuboids(union, layer) if c in needed]
+        position = {cuboid: j for j, cuboid in enumerate(cuboids)}
         layer_cm = (
             obs.span(
                 "search.stacked_layer",
@@ -385,121 +423,100 @@ def batched_layerwise_topdown_search(
             else _trace.NULL_SPAN_CONTEXT
         )
         with layer_cm as layer_span:
-            layer_data = stacked.layer_counts(cuboids, active_slots)
+            counts = stacked.layer_counts(cuboids, [state.slot for state in active])
             # The whole layer's Criteria-2 probe is one 2-D comparison:
             # anomalous counts are stacked per case, support is shared.
-            blocks = [
-                entry.anomalous / np.maximum(entry.support, 1)[None, :]
-                for entry in layer_data
-            ]
-            confidences = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            confidences = counts.anomalous / np.maximum(counts.support, 1)
             hit_rows, hit_cols = np.nonzero(confidences > t_conf)
-            boundaries = [0]
-            for entry in layer_data:
-                boundaries.append(boundaries[-1] + entry.n_groups)
             # np.nonzero is row-major: each case's hit columns are an
             # ascending contiguous run, exactly the serial scan order.
-            splits = np.searchsorted(hit_rows, np.arange(len(active) + 1))
+            splits = np.searchsorted(hit_rows, np.arange(len(active) + 1)).tolist()
             if traced:
                 obs.inc("stacked_layers_fused_total")
-            still_active = []
             n_layer_candidates = 0
-            for position, state_index in enumerate(active):
-                state = states[state_index]
+            n_stopped = 0
+            for row, (state, cases_cuboids) in enumerate(zip(active, own)):
                 state.stats.deepest_layer_visited = layer
-                cols = hit_cols[splits[position] : splits[position + 1]]
                 before = len(state.candidates)
                 stopped = _scan_case_layer(
                     state,
                     layer,
-                    layer_data,
-                    boundaries,
-                    cols,
-                    confidences[position],
-                    position,
+                    counts,
+                    [position[cuboid] for cuboid in cases_cuboids],
+                    hit_cols[splits[row] : splits[row + 1]].tolist(),
+                    confidences[row],
+                    counts.anomalous[row],
                     early_stop,
-                    stacked,
+                    engine,
+                    stacked.schema,
                 )
                 n_layer_candidates += len(state.candidates) - before
                 if stopped:
                     state.finish("coverage_early_stop", traced)
-                else:
-                    still_active.append(state_index)
+                    n_stopped += 1
             if traced:
                 layer_span.set(
-                    n_candidates=n_layer_candidates,
-                    n_early_stopped=len(active) - len(still_active),
+                    n_candidates=n_layer_candidates, n_early_stopped=n_stopped
                 )
-            active = still_active
-
-    if deadline_hit:
-        tail_reason = "deadline"
-        if traced:
-            obs.inc(
-                "resilience_deadline_exceeded_total", len(active), path="stacked"
-            )
-    else:
-        tail_reason = (
-            "max_layer_reached" if depth < len(indices) else "lattice_exhausted"
-        )
-    for state in states:
-        if state.outcome is None:
-            state.finish(tail_reason, traced)
+        active = [state for state in active if state.outcome is None]
     return [state.outcome for state in states]
 
 
 def _scan_case_layer(
     state: "_CaseSearchState",
     layer: int,
-    layer_data,
-    boundaries: List[int],
-    cols: np.ndarray,
+    counts,
+    blocks: List[int],
+    cols: List[int],
     conf_row: np.ndarray,
-    position: int,
+    anomalous_row: np.ndarray,
     early_stop: bool,
-    stacked,
+    engine: AggregationEngine,
+    schema,
 ) -> bool:
-    """One case's pass over one fused layer; returns True on early stop.
+    """One case's pass over its own cuboids of one fused layer.
 
     Replays the serial per-layer loop of :func:`layerwise_topdown_search`
     verbatim — same cuboid order, ascending group rows, identical stats
-    bookkeeping — against the shared stacked structures.
+    bookkeeping — against the shared stacked structures.  *blocks* are
+    the case's cuboid positions in *counts* and *cols* its confident
+    columns (ascending); hits in other cases' cuboids are skipped.  A
+    confident group's codes are decoded from its occupied key alone.
+    Returns True on early stop.
     """
     stats = state.stats
-    pointer = 0
-    n_hits = len(cols)
-    for block_index, entry in enumerate(layer_data):
+    bounds = counts.bounds
+    for block in blocks:
+        shape = counts.shapes[block]
+        low, high = bounds[block], bounds[block + 1]
         stats.n_cuboids_visited += 1
-        stats.n_combinations_evaluated += entry.n_groups
-        low, high = boundaries[block_index], boundaries[block_index + 1]
-        rows: List[int] = []
-        while pointer < n_hits and cols[pointer] < high:
-            rows.append(int(cols[pointer]) - low)
-            pointer += 1
-        if not rows:
+        stats.n_combinations_evaluated += high - low
+        first = bisect.bisect_left(cols, low)
+        last = bisect.bisect_left(cols, high, first)
+        if first == last:
             continue
-        spec = entry.cuboid.attribute_indices
+        spec = counts.cuboids[block].attribute_indices
         spec_set = frozenset(spec)
         positions = {attr: pos for pos, attr in enumerate(spec)}
-        group_codes = entry.codes
-        for row in rows:
-            codes_row = group_codes[row]
+        for col in cols[first:last]:
+            row = col - low
+            key = int(shape.occupied[row])
+            codes_row = engine.key_codes(spec, key)
             if state.index.has_ancestor_entry(
-                spec_set, lambda i: int(codes_row[positions[i]])
+                spec_set, lambda i: codes_row[positions[i]]
             ):
                 stats.n_criteria3_pruned += 1
                 continue
-            combination = stacked.schema.combination(spec, codes_row)
             candidate = RAPCandidate(
-                combination=combination,
-                confidence=float(conf_row[low + row]),
+                combination=schema.combination(spec, codes_row),
+                confidence=float(conf_row[col]),
                 layer=layer,
-                support=int(entry.support[row]),
-                anomalous_support=int(entry.anomalous[position, row]),
+                support=int(shape.support[row]),
+                anomalous_support=int(anomalous_row[col]),
             )
             state.candidates.append(candidate)
-            state.index.add_entry(spec, tuple(int(c) for c in codes_row))
-            covered_rows = stacked.engine.group_rows(entry, row)
+            state.index.add_entry(spec, codes_row)
+            covered_rows = engine.key_rows(spec, codes_row, key)
             fresh = covered_rows[~state.covered[covered_rows]]
             if fresh.size:
                 state.covered[fresh] = True

@@ -18,8 +18,11 @@ labels and counts every cuboid's groups for **all cases at once**
   once per batch from a private :class:`~repro.core.engine.AggregationEngine`
   (:meth:`~repro.core.engine.AggregationEngine.shape`,
   :meth:`~repro.core.engine.AggregationEngine.linear_keys`,
-  :meth:`~repro.core.engine.AggregationEngine.group_rows`) and are shared
-  by every case.
+  :meth:`~repro.core.engine.AggregationEngine.key_codes`,
+  :meth:`~repro.core.engine.AggregationEngine.key_rows`) and are shared
+  by every case.  Only what the search reads is built: keys come from
+  the parent cuboid's cached keys, and a confident group's codes are
+  decoded from its one occupied key, never a whole cuboid's.
 * **Case-stacked bincount** — per-case anomalous supports of one BFS
   layer come from a single ``np.bincount`` over
   ``case_id * n_groups + linear_key``: each case's key range is disjoint
@@ -33,12 +36,17 @@ labels and counts every cuboid's groups for **all cases at once**
   path's elementwise helper over the same layout, keeping the CP values
   and the kept/deleted decision bit-identical to
   :func:`~repro.core.classification_power.delete_redundant_attributes`.
+  The same pass is the search's layer 1: as in the serial path, one
+  aggregation pass serves both stages.
 
 The batched top-down search
 (:func:`repro.core.search.batched_layerwise_topdown_search`) drives this
-engine layer by layer with an active-case mask: cases diverge naturally
-(different CP-deleted attributes, Criteria-3 pruning, coverage early
-stop) while the layers they share stay fused.  Only integer counts feed
+engine layer by layer, once per layout group: a case's lattice over its
+kept set is the union lattice restricted to subsets of that set, so one
+walk over the union of the group's kept sets serves every case, each
+case scanning only its own cuboids and ending at its own depth.  Cases
+diverge through the active-case mask (Criteria-3 pruning, coverage early
+stop, shallower lattices) while every layer stays one fused pass.  Only integer counts feed
 the search (confidence is an elementwise integer division), which is why
 candidates are bitwise identical to the serial loop regardless of how
 the serial engine resolved its aggregates (leaf-level, warm refresh and
@@ -53,8 +61,7 @@ counts are order-free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +81,7 @@ from .engine import AggregationEngine, _CuboidShape
 
 __all__ = [
     "StackedCaseEngine",
-    "StackedLayerCuboid",
+    "StackedLayer",
     "group_datasets_by_layout",
 ]
 
@@ -122,21 +129,51 @@ def group_datasets_by_layout(
     return groups
 
 
-@dataclass
-class StackedLayerCuboid:
-    """One cuboid's shared geometry plus the batch's stacked anomalous counts."""
+class StackedLayer:
+    """One BFS layer's stacked counts for a list of case slots.
 
-    cuboid: Cuboid
-    #: Element codes per occupied group, shape (G, d) — shared across cases.
-    codes: np.ndarray
-    #: Leaf support per occupied group — shared across cases.
-    support: np.ndarray
-    #: Anomalous support per (requested case, occupied group), shape (S, G).
-    anomalous: np.ndarray
+    Each cuboid's label-free geometry is shared by every case
+    (``shapes[j]``: occupied keys, support and lazily decoded group
+    codes).  The anomalous supports form one ``(n_slots, n_groups)``
+    matrix whose columns are the cuboids' occupied groups laid end to
+    end: cuboid ``j`` owns columns ``bounds[j]:bounds[j + 1]``, and
+    ``support`` is the matching concatenated leaf support.
+    """
 
-    @property
-    def n_groups(self) -> int:
-        return int(self.support.size)
+    def __init__(
+        self,
+        cuboids: Sequence[Cuboid],
+        shapes: Sequence[_CuboidShape],
+        anomalous: np.ndarray,
+    ):
+        self.cuboids = list(cuboids)
+        self.shapes = list(shapes)
+        self.anomalous = anomalous
+        bounds = [0]
+        for shape in self.shapes:
+            bounds.append(bounds[-1] + shape.support.size)
+        self.bounds = bounds
+        self.support = (
+            self.shapes[0].support
+            if len(self.shapes) == 1
+            else np.concatenate([shape.support for shape in self.shapes])
+        )
+
+    def select(self, positions: Sequence[int], rows: Sequence[int]) -> "StackedLayer":
+        """The layer restricted to cuboids *positions* and slot rows *rows*."""
+        positions, rows = list(positions), list(rows)
+        if positions == list(range(len(self.cuboids))) and rows == list(
+            range(self.anomalous.shape[0])
+        ):
+            return self
+        columns = np.concatenate(
+            [np.arange(self.bounds[j], self.bounds[j + 1]) for j in positions]
+        )
+        return StackedLayer(
+            [self.cuboids[j] for j in positions],
+            [self.shapes[j] for j in positions],
+            self.anomalous[np.ix_(rows, columns)],
+        )
 
 
 class StackedCaseEngine:
@@ -149,20 +186,29 @@ class StackedCaseEngine:
         (labels, ``v`` and ``f`` may differ freely — nothing the stacked
         passes share depends on them).  Use
         :func:`group_datasets_by_layout` to split a mixed collection.
+        A mismatch raises ``ValueError``.
+    _same_layout:
+        Set by :meth:`~repro.core.miner.RAPMiner.run_batch` only: its
+        :func:`group_datasets_by_layout` call has already compared every
+        member's schema and codes with the group's first member, so the
+        same comparisons are not run twice.
     """
 
-    def __init__(self, datasets: Sequence[FineGrainedDataset]):
+    def __init__(
+        self, datasets: Sequence[FineGrainedDataset], *, _same_layout: bool = False
+    ):
         if not datasets:
             raise ValueError("StackedCaseEngine needs at least one dataset")
         first = datasets[0]
-        for dataset in datasets[1:]:
-            if dataset.schema != first.schema:
-                raise ValueError("stacked cases must share one schema")
-            if dataset.codes is not first.codes and not (
-                dataset.codes.shape == first.codes.shape
-                and np.array_equal(dataset.codes, first.codes)
-            ):
-                raise ValueError("stacked cases must share one leaf population")
+        if not _same_layout:
+            for dataset in datasets[1:]:
+                if dataset.schema != first.schema:
+                    raise ValueError("stacked cases must share one schema")
+                if dataset.codes is not first.codes and not (
+                    dataset.codes.shape == first.codes.shape
+                    and np.array_equal(dataset.codes, first.codes)
+                ):
+                    raise ValueError("stacked cases must share one leaf population")
         self.datasets = list(datasets)
         self.schema = first.schema
         self.n_rows = first.n_rows
@@ -175,6 +221,9 @@ class StackedCaseEngine:
         self._label_rows: List[np.ndarray] = [
             np.flatnonzero(dataset.labels) for dataset in self.datasets
         ]
+        #: Stacked CP's pass: every single-attribute cuboid (in attribute
+        #: order) for every case, which is also the search's layer 1.
+        self._cp_layer: Optional[StackedLayer] = None
 
     # -- per-case accessors ----------------------------------------------------
 
@@ -191,80 +240,84 @@ class StackedCaseEngine:
         cuboids: Sequence[Cuboid],
         shapes: Sequence[_CuboidShape],
         slots: Sequence[int],
-    ) -> List[np.ndarray]:
-        """Per-cuboid ``(len(slots), G)`` anomalous supports, one fused pass.
+    ) -> np.ndarray:
+        """``(len(slots), occupied groups)`` anomalous supports, one fused pass.
 
         Cuboid linear-key vectors are shifted into disjoint ranges and
         every case's anomalous-row keys are shifted by
         ``case_slot * total_capacity`` on top, so a single ``bincount``
-        yields every (case, cuboid, group) count.  Counts are integers,
-        so the concatenation order is irrelevant — chunking over cases
-        cannot change the result.
+        yields every (case, cuboid, group) count; one gather then keeps
+        the occupied groups.  Counts are integers, so the concatenation
+        order is irrelevant — chunking over cases cannot change the result.
         """
         n_slots = len(slots)
         key_columns = []
-        capacities = []
         offsets = []
+        occupied = []
         total_capacity = 0
-        for cuboid in cuboids:
+        for cuboid, shape in zip(cuboids, shapes):
             keys, capacity = self.engine.linear_keys(cuboid)
             key_columns.append(keys)
-            capacities.append(capacity)
             offsets.append(total_capacity)
+            occupied.append(shape.occupied + total_capacity)
             total_capacity += capacity
-        results = [
-            np.zeros((n_slots, shape.occupied.size), dtype=np.int64)
-            for shape in shapes
-        ]
-        if total_capacity == 0 or n_slots == 0:
-            return results
+        columns = occupied[0] if len(occupied) == 1 else np.concatenate(occupied)
         # Chunk cases so one pass allocates at most _MAX_STACKED_BINS bins.
         per_chunk = max(1, _MAX_STACKED_BINS // max(1, total_capacity))
+        parts = []
         for chunk_start in range(0, n_slots, per_chunk):
-            chunk = list(range(chunk_start, min(chunk_start + per_chunk, n_slots)))
-            rows_per_case = [self._label_rows[slots[i]] for i in chunk]
+            rows_per_case = [
+                self._label_rows[slot]
+                for slot in slots[chunk_start : chunk_start + per_chunk]
+            ]
             lengths = [rows.size for rows in rows_per_case]
-            total_rows = sum(lengths)
-            if total_rows == 0:
+            if sum(lengths) == 0:
+                parts.append(np.zeros((len(lengths), columns.size), dtype=np.int64))
                 continue
-            rows_cat = np.concatenate(rows_per_case)
             counts = kernels.stacked_anomalous(
-                key_columns, offsets, total_capacity, rows_cat, lengths
+                key_columns,
+                offsets,
+                total_capacity,
+                np.concatenate(rows_per_case),
+                lengths,
             )
-            for j, shape in enumerate(shapes):
-                block = counts[:, offsets[j] : offsets[j] + capacities[j]]
-                results[j][chunk, :] = block[:, shape.occupied]
-        return results
+            parts.append(counts[:, columns])
+        if not parts:
+            return np.zeros((0, columns.size), dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def layer_counts(
         self, cuboids: Sequence[Cuboid], slots: Sequence[int]
-    ) -> List[StackedLayerCuboid]:
+    ) -> StackedLayer:
         """One BFS layer's stacked counts for the requested case slots.
 
         Support, occupancy and group codes are shared (cached across
-        layers and searches of this batch); anomalous supports for all
-        *slots* come from fused case-stacked bincounts.  Cuboid chunks
-        respect the shared key-matrix budget.
+        layers of this batch); anomalous supports for all *slots* come
+        from fused case-stacked bincounts.  Single-attribute cuboids are
+        read from stacked CP's pass once it has run, as in the serial
+        path, where one aggregation pass serves both stages.  Cuboid
+        chunks respect the shared key-matrix budget.
         """
+        cuboids = list(cuboids)
+        slots = list(slots)
+        if self._cp_layer is not None and all(
+            len(cuboid.attribute_indices) == 1 for cuboid in cuboids
+        ):
+            return self._cp_layer.select(
+                [cuboid.attribute_indices[0] for cuboid in cuboids], slots
+            )
         shapes = [self.engine.shape(cuboid) for cuboid in cuboids]
         per_chunk = max(1, _MAX_STACKED_ELEMENTS // max(1, self.n_rows))
-        anomalous: List[np.ndarray] = []
-        for start in range(0, len(cuboids), per_chunk):
-            stop = min(start + per_chunk, len(cuboids))
-            anomalous.extend(
-                self._stacked_anomalous(
-                    cuboids[start:stop], shapes[start:stop], slots
-                )
+        parts = [
+            self._stacked_anomalous(
+                cuboids[start : start + per_chunk],
+                shapes[start : start + per_chunk],
+                slots,
             )
-        return [
-            StackedLayerCuboid(
-                cuboid=cuboid,
-                codes=shape.codes,
-                support=shape.support,
-                anomalous=counts,
-            )
-            for cuboid, shape, counts in zip(cuboids, shapes, anomalous)
+            for start in range(0, len(cuboids), per_chunk)
         ]
+        anomalous = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return StackedLayer(cuboids, shapes, anomalous)
 
     # -- Algorithm 1, stacked --------------------------------------------------
 
@@ -286,16 +339,19 @@ class StackedCaseEngine:
         slots = list(range(self.n_cases))
         cuboids = [Cuboid((i,)) for i in range(n_attributes)]
         layer = self.layer_counts(cuboids, slots)
+        self._cp_layer = layer
         info_d = np.array(
             [binary_entropy(self.n_anomalous(slot) / n) for slot in slots]
         )
         bounds = np.cumsum([0, *self.schema.sizes])
+        # A single-attribute cuboid's occupied keys are its element codes.
+        columns = np.concatenate(
+            [start + shape.occupied for start, shape in zip(bounds, layer.shapes)]
+        )
         support = np.zeros(bounds[-1])
         anomalous = np.zeros((len(slots), bounds[-1]))
-        for start, entry in zip(bounds, layer):
-            columns = start + entry.codes[:, 0]
-            support[columns] = entry.support
-            anomalous[:, columns] = entry.anomalous
+        support[columns] = layer.support
+        anomalous[:, columns] = layer.anomalous
         terms = cp_terms(support, anomalous, n)
         info_attr = np.stack(
             [

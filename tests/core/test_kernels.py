@@ -101,6 +101,17 @@ def tables(draw):
 # -- kernels against the reference -------------------------------------------
 
 
+@given(tables())
+@settings(max_examples=80, deadline=None)
+def test_block_keys_equal_the_matmul_form(table):
+    sizes, codes, cuboids, rng = table
+    stride_matrix, offsets, __ = plan(sizes, cuboids)
+    # Row-major leaf codes, contiguous or a strided column view.
+    for view in (codes, np.asfortranarray(codes)):
+        want = (view @ stride_matrix + offsets).T
+        assert_bitwise(kernels.block_keys(view, stride_matrix, offsets), want)
+
+
 @given(tables(), st.floats(0.0, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_fused_batch(table, label_p):

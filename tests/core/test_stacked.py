@@ -131,6 +131,27 @@ class TestStackedEngineValidation:
         with pytest.raises(ValueError):
             StackedCaseEngine([datasets[0], permuted])
 
+    def test_run_batch_compares_each_pair_once(self, monkeypatch):
+        # Equal codes in separate buffers: only a full comparison merges them.
+        datasets = [
+            FineGrainedDataset(d.schema, d.codes.copy(), d.v, d.f, d.labels)
+            for d in make_datasets(4)
+        ]
+        calls = []
+        array_equal = np.array_equal
+
+        def counted(a, b, *args, **kwargs):
+            calls.append((a, b))
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        RAPMiner().run_batch(datasets)
+        assert len(calls) == len(datasets) - 1
+        # A direct engine over the same cases still runs its own check.
+        del calls[:]
+        StackedCaseEngine(datasets)
+        assert len(calls) == len(datasets) - 1
+
 
 class TestStackedAggregates:
     def test_bitwise_equal_to_cold_engine_every_cuboid(self):
@@ -138,22 +159,43 @@ class TestStackedAggregates:
         stacked = StackedCaseEngine(datasets)
         cuboids = list(enumerate_cuboids(stacked.schema.n_attributes))
         layer = stacked.layer_counts(cuboids, range(len(datasets)))
-        for cuboid, entry in zip(cuboids, layer):
-            assert entry.cuboid == cuboid
+        assert layer.cuboids == cuboids
+        for j, (cuboid, shape) in enumerate(zip(cuboids, layer.shapes)):
+            block = layer.anomalous[:, layer.bounds[j] : layer.bounds[j + 1]]
             for slot, dataset in enumerate(datasets):
                 ref = AggregationEngine(dataset).aggregate(cuboid)
-                assert np.array_equal(ref.codes, entry.codes)
-                assert np.array_equal(ref.support, entry.support)
-                assert np.array_equal(ref.anomalous_support, entry.anomalous[slot])
+                assert np.array_equal(ref.codes, shape.codes)
+                assert np.array_equal(ref.support, shape.support)
+                assert np.array_equal(ref.anomalous_support, block[slot])
 
     def test_slot_subset_selects_cases(self):
         datasets = make_datasets(3)
         stacked = StackedCaseEngine(datasets)
         cuboids = [next(iter(enumerate_cuboids(stacked.schema.n_attributes)))]
-        (subset,) = stacked.layer_counts(cuboids, [2, 0])
-        (full,) = stacked.layer_counts(cuboids, [0, 1, 2])
-        assert np.array_equal(subset.anomalous[0], full.anomalous[2])
-        assert np.array_equal(subset.anomalous[1], full.anomalous[0])
+        subset = stacked.layer_counts(cuboids, [2, 0]).anomalous
+        full = stacked.layer_counts(cuboids, [0, 1, 2]).anomalous
+        assert np.array_equal(subset[0], full[2])
+        assert np.array_equal(subset[1], full[0])
+
+    def test_layer_one_reads_the_cp_pass(self, monkeypatch):
+        from repro.core import kernels
+        from repro.core.cuboid import Cuboid
+
+        datasets = make_datasets(3)
+        cuboids = [Cuboid((1,)), Cuboid((3,))]
+        want = StackedCaseEngine(datasets).layer_counts(cuboids, [2, 0])
+        stacked = StackedCaseEngine(datasets)
+        stacked.attribute_deletions(0.005)
+        calls = []
+        monkeypatch.setattr(
+            kernels, "stacked_anomalous", lambda *a: calls.append(a)
+        )
+        got = stacked.layer_counts(cuboids, [2, 0])
+        assert calls == []
+        assert got.cuboids == want.cuboids
+        assert got.bounds == want.bounds
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.anomalous, want.anomalous)
 
     def test_private_engine_stays_out_of_registry(self):
         from repro.core.engine import engine_for
@@ -238,7 +280,7 @@ class TestBatchedSearch:
         stacked = StackedCaseEngine(datasets)
         indices = tuple(range(stacked.schema.n_attributes))
         outcomes = batched_layerwise_topdown_search(
-            stacked, range(len(datasets)), indices, **kwargs
+            stacked, range(len(datasets)), [indices] * len(datasets), **kwargs
         )
         for dataset, outcome in zip(datasets, outcomes):
             serial = layerwise_topdown_search(dataset, indices, **kwargs)
@@ -249,7 +291,7 @@ class TestBatchedSearch:
         stacked = StackedCaseEngine(datasets)
         indices = (0, 2)
         outcomes = batched_layerwise_topdown_search(
-            stacked, range(len(datasets)), indices
+            stacked, range(len(datasets)), [indices] * len(datasets)
         )
         for dataset, outcome in zip(datasets, outcomes):
             serial = layerwise_topdown_search(dataset, indices)
@@ -265,9 +307,8 @@ class TestBatchedSearch:
             np.zeros(datasets[0].n_rows, dtype=bool),
         )
         stacked = StackedCaseEngine([datasets[0], quiet])
-        outcomes = batched_layerwise_topdown_search(
-            stacked, [0, 1], tuple(range(stacked.schema.n_attributes))
-        )
+        indices = tuple(range(stacked.schema.n_attributes))
+        outcomes = batched_layerwise_topdown_search(stacked, [0, 1], [indices] * 2)
         assert outcomes[1].candidates == []
         assert outcomes[1].stats.stop_reason == "no_anomalous_leaves"
         serial = layerwise_topdown_search(
@@ -278,9 +319,11 @@ class TestBatchedSearch:
     def test_rejects_bad_threshold_and_empty_attributes(self):
         stacked = StackedCaseEngine(make_datasets(1))
         with pytest.raises(ValueError):
-            batched_layerwise_topdown_search(stacked, [0], (0,), t_conf=1.0)
+            batched_layerwise_topdown_search(stacked, [0], [(0,)], t_conf=1.0)
         with pytest.raises(ValueError):
-            batched_layerwise_topdown_search(stacked, [0], ())
+            batched_layerwise_topdown_search(stacked, [0], [()])
+        with pytest.raises(ValueError):
+            batched_layerwise_topdown_search(stacked, [0], [(0,), (1,)])
 
 
 class TestRunBatch:
@@ -310,7 +353,7 @@ class TestRunBatch:
     )
     def test_matches_serial_run(self, config):
         # One layout group whose cases keep different attribute sets, so
-        # the batch splits into several CP sub-groups.
+        # one search walks their union lattice.
         datasets = make_datasets(8)
         assert len(group_datasets_by_layout(datasets)) == 1
         miner = RAPMiner(config)

@@ -181,6 +181,61 @@ class TestDeadlineTelemetry:
         ) == 2.0
 
 
+class TestDeadlineOverMixedKeptSets:
+    """One layout group whose cases keep 1, 2, 3 and 4 attributes: the
+    shared budget expires at the third fused layer check, which only the
+    cases with three or more kept attributes still reach."""
+
+    PATTERNS = [
+        ["(e0_0, *, *, *)"],  # keeps (0,): its lattice ends at layer 1
+        ["(e0_1, e1_1, *, *)"],  # keeps (0, 1): ends at layer 2
+        ["(e0_1, e1_1, e2_0, *)"],  # keeps (0, 1, 2): cut by the deadline
+        ["(e0_2, *, *, *)", "(e0_3, e1_0, e2_1, *)"],  # (0, 1, 2): cut
+        [],  # no anomalous leaves: keeps every attribute, never searched
+    ]
+
+    @pytest.fixture
+    def mixed_datasets(self, four_attr_schema):
+        return [
+            make_labelled_dataset(four_attr_schema, patterns, seed=seed)
+            for seed, patterns in enumerate(self.PATTERNS)
+        ]
+
+    def test_each_case_keeps_its_own_reason(self, mixed_datasets):
+        from repro import obs
+
+        config = RAPMinerConfig(early_stop=False)
+        with obs.capture() as collector:
+            partial = RAPMiner(config).run_batch(
+                mixed_datasets, budget=Budget(2.5, clock=StepClock(step=1.0))
+            )
+        kept = [result.deletion.kept_indices for result in partial]
+        assert [len(k) for k in kept] == [1, 2, 3, 3, 4]
+        reasons = [result.stats.stop_reason for result in partial]
+        assert reasons == [
+            "lattice_exhausted",
+            "lattice_exhausted",
+            "deadline",
+            "deadline",
+            "no_anomalous_leaves",
+        ]
+        capped = RAPMiner(RAPMinerConfig(early_stop=False, max_layer=2))
+        for dataset, result in zip(mixed_datasets, partial):
+            if result.stats.stop_reason == "deadline":
+                assert result.stats.deepest_layer_visited == 2
+                want = capped.run(dataset)
+                assert candidate_keys(result) == candidate_keys(want)
+            # Each case equals its own serial run under an identical budget.
+            alone = RAPMiner(config).run(
+                dataset, budget=Budget(2.5, clock=StepClock(step=1.0))
+            )
+            assert result.candidates == alone.candidates
+            assert result.stats == alone.stats
+        assert collector.metrics.value(
+            "resilience_deadline_exceeded_total", {"path": "stacked"}
+        ) == reasons.count("deadline")
+
+
 class TestHugeCaseUnderTightDeadline:
     def test_10k_leaf_case_returns_within_structure(self):
         # Acceptance shape: a 10k-leaf case under a 50 ms deadline must
