@@ -26,7 +26,9 @@ report is written to ``BENCH_search.json`` at the repository root (see
 ``make bench-search``).  Each case also carries the engine counter totals
 of one instrumented (untimed) sweep — cache hit rate, bincount passes,
 layer-scan memo hits — so a speedup regression in the artifact can be
-attributed to a specific cache without re-running anything.
+attributed to a specific cache without re-running anything.  The engine
+tallies its work onto each ``search.run`` span (``engine_*`` attributes);
+the totals sum those spans.
 """
 
 from __future__ import annotations
@@ -112,25 +114,30 @@ def _engine_counters(case, kept, grid):
     Captured outside the timed region so the telemetry itself never skews
     the wall-clock numbers; the counters make a perf regression diagnosable
     from the artifact alone (did the cache hit rate collapse, or did the
-    bincount pass count explode?).
+    bincount pass count explode?).  Each search tallies its engine work
+    onto its ``search.run`` span; the sweep's totals sum the spans.
     """
     with obs.capture() as collector:
         _run_sweep(case, kept, grid, AggregationEngine, shared_engine=True)
-    metrics = collector.metrics
-    requests = metrics.family_total("engine_aggregate_total")
-    cache_hits = metrics.value("engine_aggregate_total", {"path": "cache_hit"})
+    totals = {}
+    for run in collector.find_spans("search.run"):
+        for key, value in run.attributes.items():
+            if key.startswith("engine_"):
+                totals[key] = totals.get(key, 0) + value
+    by_path = {
+        path: totals.get(f"engine_aggregate_{path}", 0)
+        for path in ("cache_hit", "warm_refresh", "cold")
+    }
+    requests = sum(by_path.values())
     return {
-        "aggregate_requests": int(requests),
-        "aggregate_by_path": {
-            path: int(metrics.value("engine_aggregate_total", {"path": path}))
-            for path in ("cache_hit", "warm_refresh", "cold")
-        },
-        "cache_hit_rate": cache_hits / requests if requests else 0.0,
-        "bincount_passes": int(metrics.family_total("engine_bincount_passes_total")),
-        "batched_cuboids": int(metrics.value("engine_batch_cuboids_total")),
-        "layer_scan_memo_hits": int(
-            metrics.value("engine_layer_scan_memo_hits_total")
+        "aggregate_requests": requests,
+        "aggregate_by_path": by_path,
+        "cache_hit_rate": by_path["cache_hit"] / requests if requests else 0.0,
+        "bincount_passes": sum(
+            value for key, value in totals.items() if key.startswith("engine_bincount_")
         ),
+        "batched_cuboids": totals.get("engine_batch_cuboids", 0),
+        "layer_scan_memo_hits": totals.get("engine_layer_scan_memo_hits", 0),
     }
 
 

@@ -285,6 +285,8 @@ class DeltaSession:
                 fraction=fraction,
             )
         clone, patched = engine.patched_clone(dataset, changed)
+        if _trace.ACTIVE:
+            obs.inc("engine_warm_clones_total")
         self._engine = clone
         release_engine(engine)
         tick = DeltaTick(
@@ -314,13 +316,16 @@ class DeltaSession:
 
         *compatible* is :meth:`begin_tick`'s verdict on whether *dataset*
         shares the held engine's leaf population, so the codes are
-        compared once per tick (``warm_clone`` keeps its own guard).
+        compared once per tick: the clone skips the public
+        ``warm_clone``'s own comparison.
         """
         previous = self._engine
         if compatible:
             # Same leaf population: code-derived caches survive, only the
             # label counts re-aggregate (bitwise equal to fully cold).
-            engine = previous.warm_clone(dataset)
+            engine = previous._warm_clone(dataset)
+            if _trace.ACTIVE:
+                obs.inc("engine_warm_clones_total")
         else:
             engine = engine_for(dataset)
         self._engine = engine
@@ -419,6 +424,7 @@ class StreamingRAPMiner:
             budget = self._miner._budget_from_config()
         policy = degradation if degradation is not None else self.config.degradation
         with obs.span("streaming.run", k=k) as run_span:
+            run_span.open_tally()
             started = time.perf_counter()
             tick = self.session.begin_tick(dataset, budget=budget, policy=policy)
             result = self._miner.run(

@@ -51,7 +51,10 @@ exactly when its dataset does.
 
 When a :mod:`repro.obs` collector is installed the engine reports its
 hot-path behaviour — aggregate resolution paths, bincount passes, batched
-cuboids, warm clones — as counters; every bump sits behind the single
+cuboids, layer-scan memo hits — as :func:`~repro.obs.trace.tally` counts,
+which the enclosing ``miner.run`` / ``search.run`` span reports as its
+``engine_*`` attributes.  A tally is a plain integer with no metric
+registry behind it, and every bump sits behind the single
 ``obs.trace.ACTIVE`` flag, so uninstrumented runs pay one boolean read
 per site (see ``docs/observability.md``).
 """
@@ -64,7 +67,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..data.dataset import CuboidAggregate, FineGrainedDataset
 from ..obs import trace as _trace
 from . import kernels
@@ -194,7 +196,7 @@ class LaneSpec:
             for column, stride in zip(self.columns[1:], self.strides[1:]):
                 keys = keys + self.codes[:, column] * stride
         if _trace.ACTIVE:
-            obs.inc("engine_bincount_passes_total", kind="lane")
+            _trace.tally("engine_bincount_lane")
         return kernels.weighted_bincount(keys, weights, self.capacity)[self.occupied]
 
     def v_sum(self) -> np.ndarray:
@@ -370,12 +372,8 @@ class AggregationEngine:
             dataset.codes, stride_matrix, offsets, total, label_rows
         )
         if _trace.ACTIVE:
-            obs.inc("engine_batch_cuboids_total", len(cuboids))
-            obs.inc(
-                "engine_bincount_passes_total",
-                2 if label_rows.size else 1,
-                kind="batched",
-            )
+            _trace.tally("engine_batch_cuboids", len(cuboids))
+            _trace.tally("engine_bincount_batched", 2 if label_rows.size else 1)
         for cuboid, indices, start in zip(cuboids, keys, offsets.tolist()):
             end = start + self._geometry(indices)[2]
             support = support_all[start:end]
@@ -460,7 +458,7 @@ class AggregationEngine:
         aggregate = self._aggregates.get(indices)
         if aggregate is not None:
             if _trace.ACTIVE:
-                obs.inc("engine_aggregate_total", path="cache_hit")
+                _trace.tally("engine_aggregate_cache_hit")
             return aggregate
         shape = self._shapes.get(indices)
         if shape is not None:
@@ -468,8 +466,8 @@ class AggregationEngine:
             # label/value refresh — they depend only on the codes — so only
             # the anomalous rows' keys are counted.
             if _trace.ACTIVE:
-                obs.inc("engine_aggregate_total", path="warm_refresh")
-                obs.inc("engine_bincount_passes_total", kind="warm_refresh")
+                _trace.tally("engine_aggregate_warm_refresh")
+                _trace.tally("engine_bincount_warm_refresh")
             keys, capacity = self.linear_keys(cuboid)
             label_rows = self._anomalous_rows()
             if label_rows.size:
@@ -489,7 +487,7 @@ class AggregationEngine:
             self._aggregates[indices] = aggregate
             return aggregate
         if _trace.ACTIVE:
-            obs.inc("engine_aggregate_total", path="cold")
+            _trace.tally("engine_aggregate_cold")
         self._aggregate_batch([cuboid])
         return self._aggregates[indices]
 
@@ -508,7 +506,7 @@ class AggregationEngine:
         keys, capacity = self.linear_keys(cuboid)
         shape = self._shapes[cuboid.attribute_indices]
         if _trace.ACTIVE:
-            obs.inc("engine_bincount_passes_total", kind="relabel")
+            _trace.tally("engine_bincount_relabel")
         anomalous = kernels.weighted_bincount(
             keys, np.asarray(labels, dtype=float), capacity
         )[shape.occupied]
@@ -557,7 +555,7 @@ class AggregationEngine:
         memo = self._layer_scans.get(scan_key)
         if memo is not None:
             if _trace.ACTIVE:
-                obs.inc("engine_layer_scan_memo_hits_total")
+                _trace.tally("engine_layer_scan_memo_hits")
             return memo
         entry = self._layer_confidences.get(key)
         if entry is None:
@@ -697,8 +695,10 @@ class AggregationEngine:
         """
         if not self.compatible_with(dataset):
             raise ValueError("warm_clone needs an identical leaf population")
-        if _trace.ACTIVE:
-            obs.inc("engine_warm_clones_total")
+        return self._warm_clone(dataset)
+
+    def _warm_clone(self, dataset: FineGrainedDataset) -> "AggregationEngine":
+        """:meth:`warm_clone` for a caller that already compared the codes."""
         clone = AggregationEngine(dataset)
         clone._geometries = self._geometries
         clone._keys = self._keys
@@ -723,8 +723,13 @@ class AggregationEngine:
         new :class:`CuboidAggregate` objects, so per-aggregate caches (the
         confidence vector) never leak stale values across ticks.  Returns
         the clone and the number of aggregates it carried.
+
+        *dataset* must share this engine's leaf codes: the caller diffed
+        its rows against this engine's, so it has compared them already
+        (:meth:`~repro.core.delta.DeltaSession.begin_tick` does so once
+        per tick), and no second comparison runs here.
         """
-        clone = self.warm_clone(dataset)
+        clone = self._warm_clone(dataset)
         keys = tuple(sorted(self._aggregates))
         if not keys:
             return clone, 0
@@ -748,7 +753,7 @@ class AggregationEngine:
                 dataset.codes[changed], stride_matrix, offsets, total, gained, lost
             )
             if _trace.ACTIVE:
-                obs.inc("engine_bincount_passes_total", 2, kind="delta_patch")
+                _trace.tally("engine_bincount_delta_patch", 2)
         for j, indices in enumerate(keys):
             aggregate = self._aggregates[indices]
             occupied = self._shapes[indices].occupied

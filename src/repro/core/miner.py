@@ -121,6 +121,7 @@ class RAPMiner:
             t_conf=cfg.t_conf,
             attribute_deletion=cfg.enable_attribute_deletion,
         ) as run_span:
+            run_span.open_tally()
             if _trace.ACTIVE:
                 obs.inc("miner_runs_total")
             decision = _decision

@@ -152,6 +152,7 @@ def layerwise_topdown_search(
         else _trace.NULL_SPAN_CONTEXT
     )
     with run_cm as run_span:
+        run_span.open_tally()
         if n_anomalous == 0:
             stats.stop_reason = "no_anomalous_leaves"
             run_span.set(stop_reason="no_anomalous_leaves", n_candidates=0)

@@ -55,6 +55,7 @@ from ..data.injection import LocalizationCase
 from ..experiments.runner import CaseResult, MethodEvaluation
 from ..metrics.timing import time_localization
 from ..obs import trace as _trace
+from ..obs.metrics import MetricRegistry
 from ..resilience.budget import Budget
 from ..resilience.degrade import DegradationPolicy
 from .store import FleetStore
@@ -302,12 +303,27 @@ class FleetSupervisor:
         )
         if self.store is not None:
             self.store.append_case(seq, tenant, case)
-        if _trace.ACTIVE:
+        collector = _trace.active_collector()
+        if collector is not None:
             obs.inc("fleet_cases_total")
+            # fleet_queue_depth is written when the registry is read.
+            collector.metrics.add_exporter(self)
         with self._lock:
             self._outstanding += 1
             self._enqueue(item)
         return seq
+
+    def export(self, registry: MetricRegistry) -> None:
+        """Write ``fleet_queue_depth`` per layout FIFO into *registry*.
+
+        Called on every read of a registry this fleet submitted under, so
+        the gauge shows the FIFOs as they are when a scrape asks, at no
+        cost per queued or taken case.
+        """
+        with self._lock:
+            depths = [(queue.label, len(queue.items)) for queue in self._queues.values()]
+        for label, depth in depths:
+            registry.gauge("fleet_queue_depth", {"layout": label}).set(depth)
 
     # -- FIFOs (all called with the lock held) -----------------------------
 
@@ -335,8 +351,6 @@ class FleetSupervisor:
         queue = self._queue_for(item.layout)
         queue.items.append(item)
         queue.ready.notify()
-        if _trace.ACTIVE:
-            obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
 
     def _spawn_missing(self) -> None:
         """Start a thread for every worker without one (drain or serving)."""
@@ -381,8 +395,6 @@ class FleetSupervisor:
                 queue.ready.wait()
             item = queue.items.popleft()
             item.attempts += 1
-            if _trace.ACTIVE:
-                obs.set_gauge("fleet_queue_depth", len(queue.items), layout=queue.label)
             return item
 
     # -- execution ---------------------------------------------------------
@@ -395,7 +407,9 @@ class FleetSupervisor:
 
     def _execute(self, worker: _Worker, item: FleetItem) -> None:
         """Run one taken item; a raise here is a worker crash."""
-        with obs.span("fleet.execute", shard=worker.worker_id):
+        with obs.span("fleet.execute", shard=worker.worker_id) as execute_span:
+            # One request's engine work, the session's patch included.
+            execute_span.open_tally()
             # The session installs the tick's engine on the dataset, where
             # the method's own engine lookup finds it.
             tick = worker.session.begin_tick(item.case.dataset)

@@ -82,22 +82,23 @@ def inc(name: str, value: Union[int, float] = 1, **labels: str) -> None:
     """Bump a counter on the active collector; no-op when tracing is off.
 
     Hot loops should guard with ``if obs.trace.ACTIVE:`` to skip even the
-    call; cooler paths can call unconditionally.
+    call, and per-event counts belong in :func:`trace.tally` instead;
+    cooler paths can call unconditionally.
     """
-    collector = trace.active_collector()
+    collector = trace._collector
     if collector is not None:
-        collector.metrics.counter(name, labels or None).inc(value)
+        collector.metrics.counter(name, labels).inc(value)
 
 
 def set_gauge(name: str, value: Union[int, float], **labels: str) -> None:
     """Set a gauge on the active collector; no-op when tracing is off."""
-    collector = trace.active_collector()
+    collector = trace._collector
     if collector is not None:
-        collector.metrics.gauge(name, labels or None).set(value)
+        collector.metrics.gauge(name, labels).set(value)
 
 
 def observe(name: str, value: Union[int, float], **labels: str) -> None:
     """Record a histogram sample on the active collector; no-op when off."""
-    collector = trace.active_collector()
+    collector = trace._collector
     if collector is not None:
-        collector.metrics.histogram(name, labels or None).observe(value)
+        collector.metrics.histogram(name, labels).observe(value)

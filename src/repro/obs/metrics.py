@@ -3,13 +3,20 @@
 Metrics follow Prometheus conventions: ``*_total`` counters only go up,
 gauges hold a last-written value, histograms record cumulative bucket
 counts plus a running sum.  A metric is identified by its name *and* its
-fixed label set — ``engine_aggregate_total{path="cache_hit"}`` and
-``engine_aggregate_total{path="cold"}`` are two series of one family.
+fixed label set — ``delta_ticks_total{path="patched"}`` and
+``delta_ticks_total{path="cold"}`` are two series of one family.
 
 Every :class:`~repro.obs.trace.Collector` owns its own
 :class:`MetricRegistry`, so runs captured back to back never bleed counts
-into each other.  All mutation is lock-protected: fleet worker
-threads and the serving event loop bump counters concurrently.
+into each other.  Fleet worker threads and the serving event loop bump
+counters concurrently: each series guards its value with its own lock,
+and the registry lock is taken only to create a series.  Looking up an
+existing one is a single dict read keyed by the labels as passed.
+
+Values that are cheaper to compute on read than on every event (the SLO
+gauges) come from *exporters* registered with :meth:`MetricRegistry.add_exporter`:
+every read of the registry (a ``/metrics`` scrape, a JSONL dump, a
+``value()`` call) first lets each exporter write its current values.
 
 ``METRIC_HELP`` is the subsystem's metric catalogue — instrumentation
 sites register metrics by name only and the registry fills in the help
@@ -35,10 +42,6 @@ __all__ = [
 #: Catalogue of every metric the instrumentation emits (name -> help text).
 METRIC_HELP: Dict[str, str] = {
     # -- aggregation engine ------------------------------------------------
-    "engine_aggregate_total": "Cuboid aggregate requests by resolution path",
-    "engine_bincount_passes_total": "np.bincount passes executed by the engine",
-    "engine_batch_cuboids_total": "Cuboids aggregated through batched fused passes",
-    "engine_layer_scan_memo_hits_total": "layer_scan results replayed from the (layer, t_conf) memo",
     "engine_warm_clones_total": "Engines warm-cloned across intervals",
     # -- two-stage miner ---------------------------------------------------
     "cp_attributes_total": "Algorithm 1 attribute decisions (kept vs deleted)",
@@ -164,8 +167,7 @@ class Gauge(_Metric):
         self._value = 0.0
 
     def set(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)  # one attribute store: atomic, no lock
 
     def inc(self, value: Union[int, float] = 1) -> None:
         with self._lock:
@@ -236,11 +238,22 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[_Key, _Metric] = {}
+        #: Lock-free lookup per kind, keyed by ``name`` or by ``(name,
+        #: labels as passed)``.  Filled under the lock, read without it
+        #: (a dict read is atomic), so looking up an existing series costs
+        #: one dict read: no label sorting, no lock.
+        self._counters: Dict[object, Counter] = {}
+        self._gauges: Dict[object, Gauge] = {}
+        self._histograms: Dict[object, Histogram] = {}
         self._kinds: Dict[str, str] = {}
         self._family_help: Dict[str, str] = {}
+        self._exporters: Dict[int, object] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, factory, kind: str, name: str, labels, help_text):
+    def _get_or_create(
+        self, table, raw_key, factory, kind: str, name: str, labels, help_text
+    ):
+        """Find or create a series under the lock and index it in *table*."""
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -263,20 +276,29 @@ class MetricRegistry:
                 metric = factory(name, labels, resolved_help)
                 self._metrics[key] = metric
                 self._kinds[name] = kind
+            table[raw_key] = metric
             return metric
 
     def counter(
         self, name: str, labels: Optional[Labels] = None, help_text: Optional[str] = None
     ) -> Counter:
-        metric = self._get_or_create(Counter, "counter", name, labels, help_text)
-        assert isinstance(metric, Counter)
+        raw_key = (name, tuple(labels.items())) if labels else name
+        metric = self._counters.get(raw_key)
+        if metric is None:
+            metric = self._get_or_create(
+                self._counters, raw_key, Counter, "counter", name, labels, help_text
+            )
         return metric
 
     def gauge(
         self, name: str, labels: Optional[Labels] = None, help_text: Optional[str] = None
     ) -> Gauge:
-        metric = self._get_or_create(Gauge, "gauge", name, labels, help_text)
-        assert isinstance(metric, Gauge)
+        raw_key = (name, tuple(labels.items())) if labels else name
+        metric = self._gauges.get(raw_key)
+        if metric is None:
+            metric = self._get_or_create(
+                self._gauges, raw_key, Gauge, "gauge", name, labels, help_text
+            )
         return metric
 
     def histogram(
@@ -286,21 +308,44 @@ class MetricRegistry:
         help_text: Optional[str] = None,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        factory = lambda n, l, h: Histogram(n, l, h, buckets)  # noqa: E731
-        metric = self._get_or_create(factory, "histogram", name, labels, help_text)
-        assert isinstance(metric, Histogram)
+        raw_key = (name, tuple(labels.items())) if labels else name
+        metric = self._histograms.get(raw_key)
+        if metric is None:
+            factory = lambda n, l, h: Histogram(n, l, h, buckets)  # noqa: E731
+            metric = self._get_or_create(
+                self._histograms, raw_key, factory, "histogram", name, labels, help_text
+            )
         return metric
+
+    # -- exporters ---------------------------------------------------------
+
+    def add_exporter(self, exporter) -> None:
+        """Have *exporter* write its series on every read of this registry.
+
+        *exporter* is any object with an ``export(registry)`` method (an
+        :class:`~repro.obs.slo.SLOTracker`); adding one twice is a no-op.
+        The registry keeps it alive for as long as the registry lives.
+        """
+        if id(exporter) not in self._exporters:
+            with self._lock:
+                self._exporters.setdefault(id(exporter), exporter)
+
+    def _pull(self) -> None:
+        for exporter in list(self._exporters.values()):
+            exporter.export(self)
 
     # -- queries -----------------------------------------------------------
 
     def collect(self) -> List[_Metric]:
         """All metrics in registration order (series of a family adjacent)."""
+        self._pull()
         with self._lock:
             ordered = list(self._metrics.values())
         ordered.sort(key=lambda m: m.name)
         return ordered
 
     def get(self, name: str, labels: Optional[Labels] = None) -> Optional[_Metric]:
+        self._pull()
         return self._metrics.get((name, _label_key(labels)))
 
     def value(self, name: str, labels: Optional[Labels] = None) -> float:
@@ -315,6 +360,7 @@ class MetricRegistry:
     def family_total(self, name: str) -> float:
         """Sum over every label series of one counter/gauge family."""
         total = 0.0
+        self._pull()
         with self._lock:
             series = [m for (n, __), m in self._metrics.items() if n == name]
         for metric in series:

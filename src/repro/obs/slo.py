@@ -14,8 +14,9 @@ turns those sentences into code:
   driver both emit these.
 * :class:`SLOTracker` — classifies every outcome against every objective
   over *multiple sliding windows* (tick counts, e.g. the last 60 and the
-  last 720 ticks) and exports the ``slo_*`` gauge family into the active
-  metric registry, including the **error-budget burn rate** per window.
+  last 720 ticks) and exports the ``slo_*`` gauge family, including the
+  **error-budget burn rate** per window, into the active metric registry
+  whenever that registry is read (a ``/metrics`` scrape) — never per tick.
 
 Burn-rate semantics follow the multi-window convention: with a target
 good fraction ``t`` the error budget is ``1 - t``; the burn rate of a
@@ -32,6 +33,7 @@ installed collector.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -216,6 +218,7 @@ class SLOTracker:
             for o in resolved
         }
         self.ticks_recorded = 0
+        self._export_lock = threading.Lock()
 
     @property
     def objectives(self) -> List[SLOObjective]:
@@ -226,11 +229,15 @@ class SLOTracker:
     def record(
         self, outcome: TickOutcome, registry: Optional[MetricRegistry] = None
     ) -> None:
-        """Classify one tick and refresh the exported gauges.
+        """Classify one tick.
 
-        Export goes to *registry* when given, else to the installed
-        collector's registry, else nowhere (the windows still update, so
-        a tracker can run ahead of a capture and be scraped later).
+        With *registry* given the ``slo_*`` family is exported there at
+        once.  Otherwise the tracker registers itself as an exporter of
+        the installed collector's registry (if any), which writes the
+        family only when the registry is read — a served request pays
+        for its window pushes, not for 18 gauge writes.  The windows
+        update either way, so a tracker can run ahead of a capture and be
+        scraped later.
         """
         self.ticks_recorded += 1
         for state in self._states.values():
@@ -241,11 +248,12 @@ class SLOTracker:
                 state.bad_total += 1
             for window in state.windows.values():
                 window.push(good)
-        if registry is None:
-            collector = _trace.active_collector()
-            registry = collector.metrics if collector is not None else None
         if registry is not None:
             self.export(registry)
+            return
+        collector = _trace._collector
+        if collector is not None:
+            collector.metrics.add_exporter(self)
 
     # -- queries -----------------------------------------------------------
 
@@ -273,7 +281,15 @@ class SLOTracker:
     # -- export ------------------------------------------------------------
 
     def export(self, registry: MetricRegistry) -> None:
-        """Write the full ``slo_*`` family into *registry*."""
+        """Write the full ``slo_*`` family into *registry*.
+
+        Serialized, so two concurrent scrapes never both replay the same
+        ``slo_ticks_total`` difference.
+        """
+        with self._export_lock:
+            self._export(registry)
+
+    def _export(self, registry: MetricRegistry) -> None:
         for name, state in self._states.items():
             labels = {"objective": name}
             registry.gauge("slo_objective_target", labels).set(state.objective.target)

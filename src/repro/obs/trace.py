@@ -16,9 +16,17 @@ Two mechanisms enforce that:
 * ``ACTIVE`` — a module-level boolean mirroring "a collector is
   installed".  Hot loops guard per-event counter bumps with a single
   attribute read (``if trace.ACTIVE:``).
-* :func:`span` — when no collector is installed it yields a shared
-  :data:`NULL_SPAN` whose mutators are no-ops, so instrumented code needs
-  no branching of its own.
+* :func:`span` — when no collector is installed it returns the shared
+  :data:`NULL_SPAN_CONTEXT`, which yields :data:`NULL_SPAN` whose
+  mutators are no-ops, so instrumented code needs no branching of its
+  own.
+
+With a collector installed a span costs one slotted :class:`Span`, one
+context-variable set/reset and one id from a lock-free counter.  Hot
+loops that would bump a counter per event call :func:`tally` instead: a
+plain integer added to the enclosing span that opened a tally
+(:meth:`Span.open_tally`) and reported as that span's attributes when it
+finishes, with no metric-registry lookup at all.
 
 Install a collector with :func:`capture` (the public context manager) or
 :func:`install`/:func:`uninstall` for manual lifetimes.  Installation
@@ -29,11 +37,11 @@ gets a fresh metric registry, so consecutive runs never share state.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, Iterator, List, Optional
 
 from .metrics import MetricRegistry
 
@@ -50,6 +58,7 @@ __all__ = [
     "active_collector",
     "current_span",
     "span",
+    "tally",
     "capture",
     "install",
     "uninstall",
@@ -66,24 +75,68 @@ _CURRENT: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
 )
 
 
-@dataclass
 class Span:
-    """One named, attributed interval; finished spans are immutable by convention."""
+    """One named, attributed interval; finished spans are immutable by convention.
 
-    name: str
-    span_id: int
-    parent_id: Optional[int]
-    #: Wall-clock start (``time.time()``), for cross-process correlation.
-    start_unix: float
-    #: Monotonic start (``time.perf_counter()``), for duration only.
-    start: float
-    duration_s: float = 0.0
-    attributes: Dict[str, object] = field(default_factory=dict)
+    Slotted, so opening one allocates a single small object.  ``tally``
+    is the dict :func:`tally` adds to while this span is current: a
+    child shares its parent's, and :meth:`open_tally` gives a span its
+    own, reported into :attr:`attributes` when the span finishes.
+    """
+
+    __slots__ = (
+        "name",
+        "span_id",
+        "parent_id",
+        "start_unix",
+        "start",
+        "duration_s",
+        "attributes",
+        "tally",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        span_id: int,
+        parent_id: Optional[int],
+        start_unix: float,
+        start: float,
+        duration_s: float = 0.0,
+        attributes: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.name = name
+        self.span_id = span_id
+        self.parent_id = parent_id
+        #: Wall-clock start (``time.time()``), for cross-process correlation.
+        self.start_unix = start_unix
+        #: Monotonic start (``time.perf_counter()``), for duration only.
+        self.start = start
+        self.duration_s = duration_s
+        self.attributes: Dict[str, object] = {} if attributes is None else attributes
+        self.tally: Optional[Dict[str, int]] = None
 
     def set(self, **attributes: object) -> "Span":
         """Attach attributes; chainable, no-op on the null span."""
         self.attributes.update(attributes)
         return self
+
+    def open_tally(self) -> "Span":
+        """Count :func:`tally` bumps under this span as its own attributes.
+
+        Bumps made while this span or a descendant is current land in a
+        fresh dict; when the span finishes the counts become attributes
+        and are added to the tally of the enclosing span, if it has one.
+        """
+        self.tally = {}
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"Span(name={self.name!r}, span_id={self.span_id!r}, "
+            f"parent_id={self.parent_id!r}, duration_s={self.duration_s!r}, "
+            f"attributes={self.attributes!r})"
+        )
 
 
 class NullSpan:
@@ -103,6 +156,9 @@ class NullSpan:
     def set(self, **attributes: object) -> "NullSpan":
         return self
 
+    def open_tally(self) -> "NullSpan":
+        return self
+
 
 #: The shared null span (stateless, safe to reuse everywhere).
 NULL_SPAN = NullSpan()
@@ -111,9 +167,9 @@ NULL_SPAN = NullSpan()
 class _NullSpanContext:
     """Reusable no-op context manager yielding :data:`NULL_SPAN`.
 
-    Hot paths that pre-check ``ACTIVE`` use this singleton instead of
-    calling :func:`span`, so the disabled path allocates nothing — no
-    generator frame, no kwargs dict.
+    :func:`span` returns it when tracing is off, and hot paths that
+    pre-check ``ACTIVE`` use it directly to skip even building the
+    attribute kwargs, so the disabled path allocates nothing.
     """
 
     __slots__ = ()
@@ -183,24 +239,12 @@ class Collector:
         self.metrics = MetricRegistry()
         #: Bounded buffer of the newest finished spans, for live inspection.
         self.recent = SpanRing(ring_capacity)
-        self._next_id = 1
+        # ``next()`` on an ``itertools.count`` is atomic under the GIL, so
+        # span ids need no lock.
+        self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
     # -- span bookkeeping --------------------------------------------------
-
-    def _new_span(self, name: str, attributes: Dict[str, object]) -> Span:
-        parent = _CURRENT.get()
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        return Span(
-            name=name,
-            span_id=span_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start_unix=time.time(),
-            start=time.perf_counter(),
-            attributes=attributes,
-        )
 
     def _finish(self, finished: Span) -> None:
         finished.duration_s = time.perf_counter() - finished.start
@@ -266,8 +310,58 @@ def current_span() -> Optional[Span]:
     return _CURRENT.get()
 
 
-@contextmanager
-def span(name: str, **attributes: object) -> Iterator[Span]:
+class _OpenSpan(Span):
+    """The span :func:`span` returns while a collector is installed.
+
+    It is its own context manager, so opening a span allocates one
+    object; ``__enter__`` stamps the id, parent and start times.
+    """
+
+    __slots__ = ("_collector", "_parent", "_token")
+
+    def __init__(
+        self, collector: Collector, name: str, attributes: Dict[str, object]
+    ) -> None:
+        self._collector = collector
+        self.name = name
+        self.attributes = attributes
+
+    def __enter__(self) -> Span:
+        parent = _CURRENT.get()
+        self.span_id = next(self._collector._ids)
+        if parent is None:
+            self.parent_id = None
+            self.tally = None
+        else:
+            self.parent_id = parent.span_id
+            self.tally = parent.tally
+        self._parent = parent
+        self.start_unix = time.time()
+        self.start = time.perf_counter()
+        self.duration_s = 0.0
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        _CURRENT.reset(self._token)
+        counts = self.tally
+        if counts is not None:
+            parent = self._parent
+            outer = None if parent is None else parent.tally
+            if counts is not outer:  # this span opened the tally
+                self.attributes.update(counts)
+                if outer is not None:
+                    for key, value in counts.items():
+                        outer[key] = outer.get(key, 0) + value
+        # A finished span keeps no link to its parent, its context or its
+        # collector (whose span ring holds it: that would be a cycle).
+        collector = self._collector
+        self._collector = self._parent = self._token = None
+        collector._finish(self)
+        return False
+
+
+def span(name: str, **attributes: object) -> ContextManager[Span]:
     """Open a child span of the current span for the ``with`` body.
 
     Yields the live :class:`Span` (mutate via :meth:`Span.set`) or the
@@ -277,15 +371,23 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
     """
     collector = _collector
     if collector is None:
-        yield NULL_SPAN  # type: ignore[misc]
-        return
-    opened = collector._new_span(name, dict(attributes))
-    token = _CURRENT.set(opened)
-    try:
-        yield opened
-    finally:
-        _CURRENT.reset(token)
-        collector._finish(opened)
+        return NULL_SPAN_CONTEXT
+    return _OpenSpan(collector, name, attributes)
+
+
+def tally(key: str, count: int = 1) -> None:
+    """Add *count* to *key* in the tally of the current span, if it keeps one.
+
+    The per-event replacement for a counter bump: no registry lookup and
+    no lock, since a tally belongs to one span and so to one thread.
+    Call it behind ``if trace.ACTIVE:``; bumps outside any span that
+    opened a tally (:meth:`Span.open_tally`) are dropped.
+    """
+    current = _CURRENT.get()
+    if current is not None:
+        counts = current.tally
+        if counts is not None:
+            counts[key] = counts.get(key, 0) + count
 
 
 def install(collector: Collector) -> Optional[Collector]:

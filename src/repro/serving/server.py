@@ -32,7 +32,10 @@ routes (``/metrics``, ``/healthz``, ``/readyz``, ``/debug/*``) are
 mounted on the HTTP listener by delegating to
 :meth:`~repro.obs.server.TelemetryServer.dispatch`, so one port serves
 both planes; every request feeds the ``serving_*`` metric family and
-the :class:`~repro.obs.slo.SLOTracker`.
+the :class:`~repro.obs.slo.SLOTracker`.  The gauges among them (the
+admission ledger, the ``slo_*`` family) are written when ``/metrics`` is
+read, not per request, so the always-on ring capture of ``repro serve``
+costs what an operator reads.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Set
 from urllib.parse import parse_qs, urlparse
 
 from .. import obs
 from ..fleet.supervisor import CaseOutcome, FleetSupervisor
+from ..obs.metrics import MetricRegistry
 from ..obs.server import TelemetryServer
 from ..obs.slo import SLOTracker, TickOutcome
 from .admission import AdmissionConfig, AdmissionController
@@ -160,6 +164,8 @@ class LocalizationServer:
         self._served_lock = threading.Lock()
         self._started = False
         self._requests_served = 0
+        #: Tenants admitted under a capture: ``export`` gauges each of them.
+        self._admitted_tenants: Set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -331,6 +337,22 @@ class LocalizationServer:
             "serving": self.supervisor.serving,
         }
 
+    def export(self, registry: MetricRegistry) -> None:
+        """Write the admission gauges into *registry* (on every read of it).
+
+        ``serving_queue_depth`` and ``serving_tenant_inflight`` are the
+        controller's live ledger, so they are read when a scrape asks
+        rather than written twice per request.  A tenant whose last slot
+        released reads 0 instead of disappearing.
+        """
+        held = self.admission.snapshot()
+        # Every admitted slot is held by one tenant, so the depth is the sum.
+        registry.gauge("serving_queue_depth").set(sum(held.values()))
+        for tenant in list(self._admitted_tenants):
+            registry.gauge("serving_tenant_inflight", {"tenant": tenant}).set(
+                held.get(tenant, 0)
+            )
+
     # -- result plumbing ---------------------------------------------------
 
     def _on_done(self, future: asyncio.Future, outcome: CaseOutcome) -> None:
@@ -342,15 +364,8 @@ class LocalizationServer:
         (``request_timeout_s``) still frees its slot.
         """
         self.admission.release(outcome.tenant)
-        if obs.trace.ACTIVE:
-            obs.set_gauge("serving_queue_depth", self.admission.depth)
-            obs.set_gauge(
-                "serving_tenant_inflight",
-                self.admission.tenant_inflight(outcome.tenant),
-                tenant=outcome.tenant,
-            )
-            if outcome.stop_reason == "deadline":
-                obs.inc("serving_deadline_stops_total")
+        if obs.trace.ACTIVE and outcome.stop_reason == "deadline":
+            obs.inc("serving_deadline_stops_total")
         try:
             future.get_loop().call_soon_threadsafe(
                 self._resolve_future, future, outcome
@@ -398,12 +413,11 @@ class LocalizationServer:
                 request_id=request.request_id,
             )
         obs.inc("serving_admitted_total", tier=verdict.tier)
-        obs.set_gauge("serving_queue_depth", self.admission.depth)
-        obs.set_gauge(
-            "serving_tenant_inflight",
-            self.admission.tenant_inflight(request.tenant),
-            tenant=request.tenant,
-        )
+        collector = obs.active_collector()
+        if collector is not None:
+            # The admission gauges are written when the registry is read.
+            self._admitted_tenants.add(request.tenant)
+            collector.metrics.add_exporter(self)
         if verdict.tier == "degraded":
             # The degraded band overrides a laxer client deadline but
             # never loosens a tighter one.

@@ -77,13 +77,13 @@ class TestEscaping:
 class TestPrometheusText:
     def test_family_headers_render_once(self):
         registry = MetricRegistry()
-        registry.counter("engine_aggregate_total", {"path": "cache_hit"}).inc(3)
-        registry.counter("engine_aggregate_total", {"path": "cold"}).inc(1)
+        registry.counter("delta_ticks_total", {"path": "patched"}).inc(3)
+        registry.counter("delta_ticks_total", {"path": "cold"}).inc(1)
         text = prometheus_text(registry)
-        assert text.count("# HELP engine_aggregate_total") == 1
-        assert text.count("# TYPE engine_aggregate_total counter") == 1
-        assert 'engine_aggregate_total{path="cache_hit"} 3' in text
-        assert 'engine_aggregate_total{path="cold"} 1' in text
+        assert text.count("# HELP delta_ticks_total") == 1
+        assert text.count("# TYPE delta_ticks_total counter") == 1
+        assert 'delta_ticks_total{path="patched"} 3' in text
+        assert 'delta_ticks_total{path="cold"} 1' in text
         assert text.endswith("\n")
 
     def test_gauge_and_float_rendering(self):

@@ -6,14 +6,20 @@ bit-identical with tracing on and off — and that an instrumented run
 actually records the spans and counters the docs promise.
 """
 
+import os
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.core.engine as engine_module
 from repro import obs
 from repro.core.classification_power import delete_redundant_attributes
 from repro.core.delta import StreamingRAPMiner
 from repro.core.miner import RAPMiner
 from repro.core.search import layerwise_topdown_search
 from repro.obs import report as obs_report
+from repro.obs.metrics import MetricRegistry
 
 
 @pytest.fixture
@@ -128,6 +134,74 @@ class TestStageSpans:
         assert metrics.value("delta_ticks_total", {"path": "patched", "reason": "none"}) == 1.0
         spans = collector.find_spans("streaming.run")
         assert [span.attributes["path"] for span in spans] == ["cold", "patched"]
+
+
+def _caller_file():
+    """File of the innermost frame outside ``repro/obs`` and this module."""
+    obs_dir = os.path.dirname(obs.__file__) + os.sep
+    frame = sys._getframe(1)
+    while frame is not None and (
+        frame.f_code.co_filename.startswith(obs_dir)
+        or frame.f_code.co_filename == __file__
+    ):
+        frame = frame.f_back
+    return frame.f_code.co_filename if frame is not None else None
+
+
+class TestEngineTallies:
+    """The engine reports per-event work as span attributes, not metrics."""
+
+    def test_warm_run_makes_no_registry_call_from_the_engine(
+        self, example_dataset, monkeypatch
+    ):
+        miner = RAPMiner()
+        baseline = miner.run(example_dataset)  # builds the engine's caches
+        callers = []
+
+        def recording(real):
+            def wrapper(*args, **kwargs):
+                callers.append(_caller_file())
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("inc", "set_gauge", "observe"):
+            monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
+        for name in ("counter", "gauge", "histogram", "_get_or_create"):
+            monkeypatch.setattr(
+                MetricRegistry, name, recording(getattr(MetricRegistry, name))
+            )
+        with obs.capture(ring_only=True) as collector:
+            warm = miner.run(example_dataset)
+        assert warm.candidates == baseline.candidates
+        assert callers, "the miner's own counters should still reach the registry"
+        assert engine_module.__file__ not in callers
+        (run,) = [s for s in collector.snapshot_spans() if s.name == "miner.run"]
+        assert run.attributes["engine_aggregate_cache_hit"] > 0
+        assert "engine_aggregate_cold" not in run.attributes
+
+    def test_engine_module_bumps_no_counters(self):
+        source = Path(engine_module.__file__).read_text()
+        assert "obs.inc(" not in source
+        assert "from .. import obs" not in source
+
+    def test_nested_run_spans_add_up(self, example_dataset):
+        with obs.capture() as collector:
+            RAPMiner().run(example_dataset)
+        (run,) = collector.find_spans("miner.run")
+        (search,) = collector.find_spans("search.run")
+        engine_keys = [k for k in search.attributes if k.startswith("engine_")]
+        assert engine_keys, "a cold search aggregates through the engine"
+        for key in engine_keys:
+            assert run.attributes[key] >= search.attributes[key]
+        assert run.attributes.get("engine_bincount_batched", 0) >= 1
+
+    def test_tallies_outside_a_tallying_span_are_dropped(self):
+        with obs.capture() as collector:
+            with obs.span("outer") as outer:
+                obs.trace.tally("engine_aggregate_cold")
+        assert "engine_aggregate_cold" not in outer.attributes
+        assert [s.name for s in collector.spans] == ["outer"]
 
 
 class TestReportRendering:

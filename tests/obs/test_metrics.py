@@ -30,8 +30,8 @@ class TestCounter:
 
     def test_catalogue_fills_help_text(self):
         registry = MetricRegistry()
-        counter = registry.counter("engine_aggregate_total")
-        assert counter.help == METRIC_HELP["engine_aggregate_total"]
+        counter = registry.counter("delta_ticks_total")
+        assert counter.help == METRIC_HELP["delta_ticks_total"]
 
 
 class TestGauge:
@@ -121,6 +121,6 @@ class TestFamilyHelp:
 
     def test_catalogue_fills_family_help_for_later_series(self):
         registry = MetricRegistry()
-        registry.counter("engine_aggregate_total", {"path": "cold"})
-        later = registry.counter("engine_aggregate_total", {"path": "cache_hit"})
-        assert later.help == METRIC_HELP["engine_aggregate_total"]
+        registry.counter("delta_ticks_total", {"path": "cold"})
+        later = registry.counter("delta_ticks_total", {"path": "patched"})
+        assert later.help == METRIC_HELP["delta_ticks_total"]

@@ -77,7 +77,7 @@ class TestInactivePath:
             assert span is trace.NULL_SPAN
 
     def test_helpers_noop_without_collector(self):
-        obs.inc("engine_aggregate_total", path="cache_hit")
+        obs.inc("delta_ticks_total", path="patched")
         obs.set_gauge("some_gauge", 3.0)
         obs.observe("some_histogram", 0.1)
         assert obs.active_collector() is None

@@ -653,6 +653,60 @@ class TestTelemetryPlane:
             client.localize(cases[1], k=1)
             assert server.slo.ticks_recorded == 2
 
+    def test_slo_gauges_export_when_metrics_is_read(self, cases, monkeypatch):
+        """Requests feed the tracker; only a /metrics read writes ``slo_*``."""
+        from repro.obs.slo import SLOTracker
+
+        exports = []
+        real_export = SLOTracker.export
+
+        def counting_export(tracker, registry):
+            exports.append(tracker)
+            real_export(tracker, registry)
+
+        monkeypatch.setattr(SLOTracker, "export", counting_export)
+        requests = 5
+        with obs.capture(ring_only=True):
+            with serve() as server:
+                client = ServingClient("127.0.0.1", server.http_port)
+                for index in range(requests):
+                    client.localize(cases[index % len(cases)], k=1)
+                assert server.slo.ticks_recorded == requests
+                assert exports == []  # no per-request export
+                text = client.metrics()
+                assert exports == [server.slo]
+                (row,) = [r for r in server.slo.snapshot() if r["objective"] == "tick_success"]
+        samples = {}
+        for line in text.splitlines():
+            if line.startswith("slo_"):
+                series, value = line.rsplit(" ", 1)
+                samples[series] = float(value)
+        labels = 'objective="tick_success"'
+        assert samples[f'slo_ticks_total{{{labels},outcome="good"}}'] == row["good_total"]
+        assert samples[f'slo_ticks_total{{{labels},outcome="bad"}}'] == row["bad_total"]
+        assert row["good_total"] + row["bad_total"] == requests
+        for window, state in row["windows"].items():
+            windowed = f'{labels},window="{window}"'
+            assert samples[f"slo_good_fraction{{{windowed}}}"] == pytest.approx(
+                state["good_fraction"]
+            )
+            assert samples[f"slo_burn_rate{{{windowed}}}"] == pytest.approx(
+                state["burn_rate"]
+            )
+
+    def test_admission_gauges_read_the_ledger_at_scrape(self, cases):
+        with obs.capture(ring_only=True) as collector:
+            with serve() as server:
+                client = ServingClient("127.0.0.1", server.http_port)
+                client.localize(cases[0], k=1, tenant="edge")
+                deadline = time.time() + 10
+                while server.admission.depth and time.time() < deadline:
+                    time.sleep(0.02)
+                text = client.metrics()
+        assert "serving_queue_depth 0" in text
+        assert 'serving_tenant_inflight{tenant="edge"} 0' in text
+        assert collector.metrics.family_total("fleet_queue_depth") == 0
+
     def test_shed_and_malformed_counted(self, cases):
         with obs.capture():
             admission = AdmissionConfig(max_queue_depth=1, soft_queue_depth=None)

@@ -194,7 +194,12 @@ class TestTrace:
             assert {"layer", "n_cuboids", "n_combinations", "coverage_fraction"} <= set(attrs)
         counter_names = {r["name"] for r in records if r["type"] == "counter"}
         assert "miner_runs_total" in counter_names
-        assert any(name.startswith("engine_") for name in counter_names)
+        # Engine work is tallied onto the run span, not the registry.
+        (run_record,) = [
+            r for r in records if r["type"] == "span" and r["name"] == "miner.run"
+        ]
+        assert any(key.startswith("engine_") for key in run_record["attributes"])
+        assert not any(name.startswith("engine_") for name in counter_names)
         out = capsys.readouterr().out
         assert "trace: wrote" in out
         assert "spans:" in out  # the rendered run summary
